@@ -9,6 +9,7 @@ real projections are asserted, not assumed.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import lfilter
 from scipy.special import comb
 
 from .identities import IdentityError
@@ -86,17 +87,16 @@ class CStarResult:
 
 
 def phi_recursive(p, N):
-    """phi[1]=1, phi[n] = sum p[l] phi[n-l] with phi[m]=0 for m <= 0."""
+    """phi[1]=1, phi[n] = sum p[l] phi[n-l] with phi[m]=0 for m <= 0.
+
+    phi is the impulse response of 1/P(z), run through lfilter.
+    """
     p = _check_p(p)
     if N < 1:
         raise ValueError("N must be >= 1")
-    k = p.size
-    ph = np.zeros(N)
-    ph[0] = 1.0
-    for n in range(1, N):
-        lo = max(0, n - k)
-        ph[n] = np.dot(p[: n - lo], ph[n - 1 : lo - 1 if lo > 0 else None : -1])
-    return _attach_drift(p, ph)
+    impulse = np.zeros(N)
+    impulse[0] = 1.0
+    return _attach_drift(p, lfilter([1.0], _poly_coeffs(p), impulse))
 
 
 def _attach_drift(p, ph):

@@ -436,16 +436,11 @@ def _run_limsup(cfg, seed, outdir, quiet, written):
             "report": report.to_json(),
         }
         if trials % 2 == 1:
-            try:
-                lo, hi = calibration_band(
-                    spec, outcome, alpha, checkpoints[-1], trials
-                )
-                doc["band"] = {
-                    "low": _q(lo, "trend-band"),
-                    "high": _q(hi, "trend-band"),
-                }
-            except TypeError:
-                pass
+            lo, hi = calibration_band(spec, outcome, alpha, checkpoints[-1], trials)
+            doc["band"] = {
+                "low": _q(lo, "trend-band"),
+                "high": _q(hi, "trend-band"),
+            }
     rows = zip(report.checkpoints, report.median, report.q25, report.q75)
     _emit(
         outdir,

@@ -8,7 +8,9 @@ window sits at [j-l-1, k-l-1] of the dense array.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.signal import lfilter
 
+from .argen import phi_recursive
 from .identities import IdentityError
 
 # s values beyond this would silently lose the increments that the closed
@@ -19,6 +21,10 @@ CLOSED_FORM_TOL = 1e-12
 DENSE_CHECK_TOL = 1e-10
 CONDITION_LIMIT = 1e12
 
+# a spread of at most this many ulp of the magnitude of a stored sequence is
+# rounding, so such a sequence of coefficients or gaps counts as constant
+CONSTANT_ULPS = 4
+
 
 def _as_float_array(values, name):
     arr = np.asarray(values, dtype=float)
@@ -27,6 +33,39 @@ def _as_float_array(values, name):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     return arr
+
+
+def _steady(a, scale=None):
+    """`a` as one float when its spread is rounding at `scale`, else as is.
+
+    The default scale is the largest magnitude in `a`; an empty sequence
+    reduces to 0.0.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim and a.size:
+        scale = np.abs(a).max() if scale is None else scale
+        if np.ptp(a) > CONSTANT_ULPS * np.spacing(scale):
+            return a
+    return float(a.flat[0]) if a.size else 0.0
+
+
+def _one_pole(a, u, y0):
+    """y[..., j] = a[j] y[..., j-1] + u[..., j] along the last axis from y0.
+
+    y0 stands at j = -1 and carries the state from the previous chunk.
+    Constant coefficients (a scalar, or a sequence that `_steady` reduces
+    to one) run through lfilter, varying ones through a per-step loop.
+    """
+    a = _steady(a)
+    if np.ndim(a) == 0:
+        zi = np.expand_dims(a * np.asarray(y0, dtype=float), -1)
+        return lfilter([1.0], [1.0, -a], u, axis=-1, zi=zi)[0]
+    y = np.empty_like(u)
+    yt, ut = y.T, u.T          # time first: each step is a number or a row
+    prev = y0
+    for j in range(ut.shape[0]):
+        prev = yt[j] = a[j] * prev + ut[j]
+    return y
 
 
 @dataclass(frozen=True)
@@ -257,10 +296,8 @@ class AR1(KernelSpec):
         """U[j,j] for j = 1..n via U[j+1,j+1] = x[j]^2 U[j,j] + 1."""
         if n > self.x.size + 1:
             raise ValueError("x too short for requested diagonal")
-        d = np.empty(n)
-        d[0] = 1.0
-        for j in range(1, n):
-            d[j] = self.x[j - 1] ** 2 * d[j - 1] + 1.0
+        d = np.ones(n)
+        d[1:] = _one_pole(self.x[: n - 1] ** 2, d[1:], 1.0)
         return d
 
 
@@ -328,15 +365,6 @@ class ARk(KernelSpec):
     @classmethod
     def _from_config(cls, doc):
         return cls(p=doc["p"])
-
-    def phi(self, n):
-        """Impulse-response coefficients phi[1..n] (returned 0-based)."""
-        ph = np.zeros(n)
-        ph[0] = 1.0
-        for m in range(1, n):
-            lo = max(0, m - self.k)
-            ph[m] = np.dot(self.p[: m - lo], ph[m - 1 : lo - 1 if lo > 0 else None : -1])
-        return ph
 
 
 @_register
@@ -492,23 +520,12 @@ def _min_entries(s, window):
     return s[np.minimum.outer(idx, idx)]
 
 
-def _ar1_diag_products(x, hi):
-    # diagonal U[j,j] for j=1..hi and running products t[j] = prod(x[:j-1])
-    d = np.empty(hi)
-    d[0] = 1.0
-    for j in range(1, hi):
-        d[j] = x[j - 1] ** 2 * d[j - 1] + 1.0
-    t = np.empty(hi)
-    t[0] = 1.0
-    t[1:] = np.cumprod(x[: hi - 1])
-    return d, t
-
-
-def _ar1_entries(x, window):
+def _ar1_entries(spec, window):
+    x = spec.x
     hi = window.l + window.n
     if hi > x.size + 1:
         raise ValueError("window extends past supplied x")
-    d, _ = _ar1_diag_products(x, hi)
+    d = spec.diagonal(hi)
     # U[j,k] = U[j,j] prod(x[j..k-1]) for j <= k; the product is built from
     # log sums so long windows underflow to 0 instead of degrading to NaN
     lo = window.l
@@ -523,9 +540,8 @@ def _ar1_entries(x, window):
 
 
 def _ark_entries(p, window):
-    spec = ARk(p)
     hi = window.l + window.n
-    ph = spec.phi(hi)
+    ph = phi_recursive(p, hi).values
     # V[m,n] = sum_{t=1..min(m,n)} phi[t] phi[t+|m-n|]; one cumulative sum per lag
     out = np.empty((window.n, window.n))
     for dlag in range(window.n):
@@ -557,13 +573,13 @@ def build_kernel(spec, window):
         v = spec.v[idx]
         entries = np.exp(-np.abs(np.subtract.outer(v, v)))
     elif isinstance(spec, AR1):
-        entries = _ar1_entries(spec.x, window)
+        entries = _ar1_entries(spec, window)
     elif isinstance(spec, AR1Shifted):
         decide_shift_admissible(spec, raise_on_fail=True)
-        entries = _ar1_entries(spec.x, window)
+        entries = _ar1_entries(spec.base, window)
+        # t[j] = prod(x[:j-1]), the response of xi[j] to the first innovation
         hi = window.l + window.n
-        _, t = _ar1_diag_products(spec.x, hi)
-        tw = t[window.l : hi]
+        tw = np.concatenate(([1.0], np.cumprod(spec.x[: hi - 1])))[window.l :]
         entries = entries + (spec.delta_tilde**2 - 1.0) * np.outer(tw, tw)
     elif isinstance(spec, ARk):
         entries = _ark_entries(spec.p, window)
@@ -571,7 +587,7 @@ def build_kernel(spec, window):
         decide_shift_admissible(spec, raise_on_fail=True)
         entries = _ark_entries(spec.p, window)
         hi = window.l + window.n
-        ph = spec.base.phi(hi)[window.l : hi]
+        ph = phi_recursive(spec.p, hi).values[window.l :]
         entries = entries + ((1.0 - spec.a_sq) / spec.a_sq) * np.outer(ph, ph)
     elif isinstance(spec, RankOneUpdate):
         entries = _rank_one_entries(spec, window)

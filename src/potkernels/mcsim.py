@@ -20,6 +20,7 @@ import numpy as np
 from scipy.signal import lfilter
 from scipy.special import betainc, gammainc
 
+from .argen import phi_recursive
 from .identities import IdentityError
 from .kernels import (
     AR1,
@@ -33,6 +34,8 @@ from .kernels import (
     ScaledMinKernel,
     ShiftedScaled,
     Window,
+    _one_pole,
+    _steady,
     build_kernel,
     decide_shift_admissible,
     killed_walk_potential,
@@ -62,78 +65,75 @@ def _chunk_size(rows):
     return int(max(256, min(1 << 16, (1 << 22) // max(rows, 1))))
 
 
+def _part(c, j0, m):
+    return c if np.ndim(c) == 0 else c[j0 : j0 + m]
+
+
+def _stream_one_pole(a, scale, y0, rng, rows, n_max, chunk, first_scale=1.0):
+    # y[j] = a[j] y[j-1] + scale[j] g[j] from y[-1] = y0, with a and scale
+    # scalars or per-index arrays; the first innovation is scaled
+    for j0, m in _chunks(n_max, chunk):
+        g = rng.standard_normal((rows, m))
+        if j0 == 0:
+            g[:, 0] *= first_scale
+        g *= _part(scale, j0, m)           # in place: rows x m can be large
+        block = _one_pole(_part(a, j0, m), g, y0)
+        y0 = block[:, -1].copy()
+        yield block
+
+
 def _stream_min(s, b, Delta, rng, rows, n_max, chunk):
     s = np.asarray(s, dtype=float)
     if s.size < n_max:
         raise ValueError("stored s shorter than the requested length")
     shifted = s[:n_max] + Delta
     inc = np.sqrt(np.diff(np.concatenate(([0.0], shifted))))
-    carry = np.zeros(rows)
-    for j0, m in _chunks(n_max, chunk):
-        g = rng.standard_normal((rows, m))
-        block = np.cumsum(inc[j0 : j0 + m] * g, axis=1) + carry[:, None]
-        carry = block[:, -1].copy()
-        yield block if b is None else block / b[j0 : j0 + m]
+    stream = _stream_one_pole(1.0, inc, np.zeros(rows), rng, rows, n_max, chunk)
+    for j0, block in zip(range(0, n_max, chunk), stream):
+        yield block if b is None else block / b[j0 : j0 + block.shape[1]]
 
 
 def _stream_exp(v, rng, rows, n_max, chunk):
     v = np.asarray(v, dtype=float)
     if v.size < n_max:
         raise ValueError("stored v shorter than the requested length")
-    gaps = np.diff(v[:n_max])
+    v = v[:n_max]
+    gaps = np.diff(v)
+    gap = _steady(gaps, np.abs(v).max()) if gaps.size else np.inf
     state = rng.standard_normal(rows)      # stationary start, unit variance
-    if gaps.size == 0 or np.ptp(gaps) < 1e-14:
-        r = float(np.exp(-gaps[0])) if gaps.size else 0.0
-        sig = float(np.sqrt(1.0 - r * r))
-        zi = (r * state)[:, None]
-        for j0, m in _chunks(n_max, chunk):
-            g = rng.standard_normal((rows, m))
-            block, zi = lfilter([sig], [1.0, -r], g, axis=1, zi=zi)
-            yield block
-        return
-    for j0, m in _chunks(n_max, chunk):
-        g = rng.standard_normal((rows, m))
-        block = np.empty_like(g)
-        for t in range(m):
-            j = j0 + t
-            if j == 0:
-                block[:, 0] = state
-            else:
-                r = np.exp(-gaps[j - 1])
-                state = r * state + np.sqrt(1.0 - r * r) * g[:, t]
-                block[:, t] = state
-        state = block[:, -1].copy()
-        yield block
+    if np.ndim(gap) == 0:
+        # even grid: the path starts one gap after the stationary draw
+        a = float(np.exp(-gap))
+    else:
+        # uneven grid: the path starts at the stationary draw
+        a = np.exp(-np.concatenate(([0.0], gap)))
+    yield from _stream_one_pole(
+        a, np.sqrt(1.0 - a * a), state, rng, rows, n_max, chunk
+    )
+
+
+def _stream_ar1(x, first_scale, rng, rows, n_max, chunk):
+    # xi[1] = first_scale g[1], xi[n] = x[n-1] xi[n-1] + g[n]
+    x = np.asarray(x, dtype=float)
+    if x.size < n_max - 1:
+        raise ValueError("stored x shorter than the requested length")
+    a = _steady(x[: n_max - 1])
+    if np.ndim(a):
+        a = np.concatenate((a[:1], a))     # a[0] meets y[-1] = 0
+    yield from _stream_one_pole(
+        a, 1.0, np.zeros(rows), rng, rows, n_max, chunk, first_scale
+    )
 
 
 def _stream_ar(coeffs, first_scale, rng, rows, n_max, chunk):
     # y[n] = sum coeffs[l] y[n-l] + g[n] with empty history; y[1] scaled
     a = np.concatenate(([1.0], -np.asarray(coeffs, dtype=float)))
     zi = np.zeros((rows, a.size - 1))
-    first = True
     for j0, m in _chunks(n_max, chunk):
         g = rng.standard_normal((rows, m))
-        if first:
+        if j0 == 0:
             g[:, 0] *= first_scale
-            first = False
         block, zi = lfilter([1.0], a, g, axis=1, zi=zi)
-        yield block
-
-
-def _stream_ar1_varying(x, first_scale, rng, rows, n_max, chunk):
-    x = np.asarray(x, dtype=float)
-    state = None
-    for j0, m in _chunks(n_max, chunk):
-        g = rng.standard_normal((rows, m))
-        block = np.empty_like(g)
-        for t in range(m):
-            j = j0 + t
-            if j == 0:
-                state = first_scale * g[:, 0]
-            else:
-                state = x[j - 1] * state + g[:, t]
-            block[:, t] = state
-        state = state.copy()
         yield block
 
 
@@ -152,19 +152,9 @@ def _path_stream(spec, n_max, rng, rows, chunk=None):
         return _stream_exp(spec.v, rng, rows, n_max, chunk)
     if isinstance(spec, AR1Shifted):
         decide_shift_admissible(spec, raise_on_fail=True)
-        spec_x = np.asarray(spec.x, dtype=float)
-        if n_max > 1 and np.ptp(spec_x[: n_max - 1]) >= 1e-14:
-            return _stream_ar1_varying(
-                spec_x, spec.delta_tilde, rng, rows, n_max, chunk
-            )
-        c = spec_x[:1] if n_max > 1 else np.zeros(1)
-        return _stream_ar(c, spec.delta_tilde, rng, rows, n_max, chunk)
+        return _stream_ar1(spec.x, spec.delta_tilde, rng, rows, n_max, chunk)
     if isinstance(spec, AR1):
-        spec_x = np.asarray(spec.x, dtype=float)
-        if n_max > 1 and np.ptp(spec_x[: n_max - 1]) >= 1e-14:
-            return _stream_ar1_varying(spec_x, 1.0, rng, rows, n_max, chunk)
-        c = spec_x[:1] if n_max > 1 else np.zeros(1)
-        return _stream_ar(c, 1.0, rng, rows, n_max, chunk)
+        return _stream_ar1(spec.x, 1.0, rng, rows, n_max, chunk)
     if isinstance(spec, ARkGen):
         decide_shift_admissible(spec, raise_on_fail=True)
         return _stream_ar(
@@ -229,23 +219,12 @@ def kernel_diagonal(spec, n):
         t = np.concatenate(([1.0], np.cumprod(x[: n - 1])))
         return base + (spec.delta_tilde**2 - 1.0) * t**2
     if isinstance(spec, AR1):
-        x = np.asarray(spec.x, dtype=float)
-        if n > 1 and np.ptp(x[: n - 1]) < 1e-14:
-            return lfilter([1.0], [1.0, -float(x[0]) ** 2], np.ones(n))
-        out = np.empty(n)
-        out[0] = 1.0
-        for i in range(1, n):
-            out[i] = x[i - 1] ** 2 * out[i - 1] + 1.0
-        return out
+        return spec.diagonal(n)
     if isinstance(spec, ARkGen):
-        from .argen import phi_recursive
-
         ph = phi_recursive(spec.p, n).values
         base = np.cumsum(ph**2)
         return base + (1.0 - spec.a_sq) / spec.a_sq * ph**2
     if isinstance(spec, ARk):
-        from .argen import phi_recursive
-
         return np.cumsum(phi_recursive(spec.p, n).values ** 2)
     if isinstance(spec, RankOneUpdate):
         return np.diag(build_kernel(spec, Window(0, n)).entries).copy()

@@ -243,7 +243,7 @@ def _predict_min_like(logs, diag, diag_label, family, f_class, growth):
     raise ValueError("growth must be None, 'geometric', or 'bounded-ratio'")
 
 
-def _predict_ar1(x, f_class, alpha, x_limit, reg_var_index, rate_limit, rate_index):
+def _predict_ar1(spec, f_class, alpha, x_limit, reg_var_index, rate_limit, rate_index):
     stated = [h for h in (x_limit, reg_var_index, rate_limit, rate_index) if h is not None]
     if len(stated) == 0:
         return NoTheorem(
@@ -253,12 +253,9 @@ def _predict_ar1(x, f_class, alpha, x_limit, reg_var_index, rate_limit, rate_ind
     if len(stated) > 1:
         raise ValueError("declare exactly one limit hypothesis for x")
 
-    x = np.asarray(x, dtype=float)
+    x = spec.x
     n_max = x.size
-    diag = np.empty(n_max + 1)
-    diag[0] = 1.0
-    for i in range(n_max):
-        diag[i + 1] = x[i] ** 2 * diag[i] + 1.0
+    diag = spec.diagonal(n_max + 1)
     logt = np.concatenate(([0.0], np.cumsum(np.log(x))))
 
     def u_diag(jj):
@@ -462,7 +459,7 @@ def predict(
         raise ValueError("gaps must be None, 'bounded', or 'separated'")
     if isinstance(spec, AR1):
         return _predict_ar1(
-            spec.x, f_class, alpha, x_limit, reg_var_index, rate_limit, rate_index
+            spec, f_class, alpha, x_limit, reg_var_index, rate_limit, rate_index
         )
     if isinstance(spec, ARk):
         return _predict_ark(spec.p, f_class, alpha, f_sqrt_small)

@@ -257,23 +257,49 @@ class TestSimulate:
         assert first != (out3 / "samples.csv").read_bytes()
 
 
+BAND_FAMILIES = {
+    "exp": (
+        exp_spec(120, gap=0.4),
+        {"f_class": "zero", "alpha": 0.5, "gaps": "separated"},
+        "exp-separated-gaps",
+    ),
+    "ar1": (
+        {"family": "ar1", "x": [0.5] * 120},
+        {"f_class": "zero", "alpha": 0.5, "x_limit": 0.5},
+        "ar1-subcritical",
+    ),
+    "ar1_shifted": (
+        {"family": "ar1_shifted", "x": [0.5] * 120, "delta_tilde": 1.5},
+        {"f_class": "zero", "alpha": 0.5, "x_limit": 0.5},
+        "ar1-subcritical",
+    ),
+    "ark_gen": (
+        {"family": "ark_gen", "p": [0.5, 0.25], "a_sq": 0.4},
+        {"f_class": "zero", "alpha": 0.5},
+        "ark-transient",
+    ),
+}
+
+
 class TestLimsup:
-    def limsup_config(self, trials):
+    def limsup_config(self, trials, family="exp"):
+        spec, hypotheses, _ = BAND_FAMILIES[family]
         return {
             "command": "limsup",
-            "spec": exp_spec(120, gap=0.4),
+            "spec": spec,
             "alpha": 0.5,
-            "hypotheses": {"f_class": "zero", "alpha": 0.5, "gaps": "separated"},
+            "hypotheses": hypotheses,
             "checkpoints": [40, 120],
             "trials": trials,
             "seed": 3,
         }
 
-    def test_permanental_trend_with_band(self, tmp_path):
-        code, outdir = run_cli(tmp_path, self.limsup_config(trials=5))
+    @pytest.mark.parametrize("family", sorted(BAND_FAMILIES))
+    def test_permanental_trend_with_band(self, tmp_path, family):
+        code, outdir = run_cli(tmp_path, self.limsup_config(trials=5, family=family))
         assert code == 0
         doc = read_json(outdir, "limsup.json")
-        assert doc["prediction"]["theorem"] == "exp-separated-gaps"
+        assert doc["prediction"]["theorem"] == BAND_FAMILIES[family][2]
         assert len(doc["report"]["median"]) == 2
         assert doc["band"]["low"]["citation"] == "trend-band"
         assert 0.0 < doc["band"]["low"]["value"] < doc["band"]["high"]["value"]

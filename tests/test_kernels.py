@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from potkernels import (
     AR1,
@@ -24,6 +26,7 @@ from potkernels import (
     decay_envelope,
     decide_shift_admissible,
     killed_walk_potential,
+    phi_recursive,
     rank_one_update,
     verify_duality,
     window_inverse,
@@ -159,6 +162,23 @@ class TestAR1:
         with pytest.raises(ValueError):
             AR1(x=[0.9, 0.5])
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        levels=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4),
+        runs=st.lists(st.integers(1, 8), min_size=4, max_size=4),
+    )
+    @example(levels=[0.5], runs=[9, 1, 1, 1])          # constant x
+    @example(levels=[0.3, 0.7, 1.0], runs=[3, 1, 5, 1])  # varying, with runs
+    def test_diagonal_is_sum_of_products(self, levels, runs):
+        # non-decreasing x made of constant runs; a single level is constant
+        levels = sorted(levels)
+        x = np.repeat(levels, runs[: len(levels)])
+        n = x.size + 1
+        explicit = [
+            sum(np.prod(x[i:j] ** 2) for i in range(j + 1)) for j in range(n)
+        ]
+        np.testing.assert_allclose(AR1(x=x).diagonal(n), explicit, rtol=1e-12)
+
 
 class TestShiftAdmissibility:
     def test_ar1_shift_bound(self):
@@ -181,7 +201,7 @@ class TestARkGen:
         base = ARk(p=(0.5, 0.25))
         gen = ARkGen(p=(0.5, 0.25), a_sq=0.4)
         w = Window(0, 6)
-        phi = base.phi(6)
+        phi = phi_recursive(base.p, 6).values
         correction = ((1.0 - 0.4) / 0.4) * np.outer(phi, phi)
         np.testing.assert_allclose(
             dense_window(gen, w),

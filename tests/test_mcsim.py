@@ -6,13 +6,17 @@ from scipy import stats
 
 from potkernels import (
     AR1,
+    AR1Shifted,
     ARk,
+    ARkGen,
     ExperimentConfig,
     ExpKernel,
     IdentityError,
     KilledWalk,
     MinKernel,
     RankOneUpdate,
+    ScaledMinKernel,
+    ShiftedScaled,
     Window,
     analytic_median_band,
     build_kernel,
@@ -45,12 +49,25 @@ class TestGaussianSampler:
             MinKernel(s=np.arange(1.0, 9.0)),
             ExpKernel(v=np.cumsum([0.1, 0.5, 1.2, 0.3, 0.9, 0.2, 1.5, 0.4])),
             AR1(x=np.full(7, 0.5)),
+            AR1(x=np.sort(np.random.default_rng(1).uniform(0.3, 0.9, 7))),
+            AR1Shifted(
+                x=np.sort(np.random.default_rng(2).uniform(0.3, 0.9, 7)),
+                delta_tilde=1.5,
+            ),
         ],
-        ids=["min", "exp-varying", "ar1"],
+        ids=["min", "exp-varying", "ar1", "ar1-varying", "ar1-shifted"],
     )
     def test_exact_covariance(self, spec):
         z = covariance_zscores(spec, 8, seed=3, trials=40_000)
         assert z.max() < 5.0
+
+    def test_fractional_offset_grid_is_an_even_grid(self):
+        # 1.3 + j stores its unit gaps unevenly, by a few ulp of the grid;
+        # that rounding must not change the path the seed gives
+        n = 2000
+        frac = sample_gaussian(ExpKernel(v=1.3 + np.arange(n)), n, seed=7, trials=2)
+        whole = sample_gaussian(ExpKernel(v=1.0 + np.arange(n)), n, seed=7, trials=2)
+        np.testing.assert_allclose(frac.values, whole.values, rtol=0, atol=1e-9)
 
     def test_deterministic_replay(self):
         spec = AR1(x=np.full(9, 0.5))
@@ -83,8 +100,20 @@ class TestKernelDiagonal:
             AR1(x=np.sort(np.random.default_rng(0).uniform(0.3, 0.9, 11))),
             ARk(p=(0.5, 0.25)),
             ARk(p=(1 / 3, 5 / 9, 1 / 9)),
+            ScaledMinKernel(s=np.arange(1.0, 13.0), b=np.exp(0.1 * np.arange(12))),
+            ShiftedScaled(
+                s=np.arange(1.0, 13.0), b=np.exp(0.1 * np.arange(12)), Delta=0.5
+            ),
+            AR1Shifted(
+                x=np.sort(np.random.default_rng(0).uniform(0.3, 0.9, 11)),
+                delta_tilde=1.5,
+            ),
+            ARkGen(p=(0.5, 0.25), a_sq=0.4),
         ],
-        ids=["min", "exp", "ar1-const", "ar1-vary", "ark", "ark-drift"],
+        ids=[
+            "min", "exp", "ar1-const", "ar1-vary", "ark", "ark-drift",
+            "scaled_min", "shifted_scaled", "ar1_shifted", "ark_gen",
+        ],
     )
     def test_matches_dense_diagonal(self, spec):
         dense = np.diag(np.asarray(build_kernel(spec, Window(0, 12)).entries))
