@@ -48,33 +48,52 @@ from .symmetrize import analyze, extend, sandwich_factor
 
 OUT_ENV = "POTKERNELS_OUT"
 
+# JSON kind of each config field, checked at parse time; "numbers" and
+# "ints" are flat lists
 _HYPOTHESES = {
-    "f_class",
-    "alpha",
-    "growth",
-    "gaps",
-    "x_limit",
-    "reg_var_index",
-    "rate_limit",
-    "rate_index",
-    "f_sqrt_small",
+    "f_class": "string",
+    "alpha": "number",
+    "growth": "string",
+    "gaps": "string",
+    "x_limit": "number",
+    "reg_var_index": "number",
+    "rate_limit": "number",
+    "rate_index": "number",
+    "f_sqrt_small": "bool",
 }
+_WINDOW = {"l": "int", "n": "int"}
+_F = {"values": "numbers", "density": "numbers", "start": "int", "tail": "number"}
+_COMMON = {"command": "string", "seed": "int", "out": "string"}
 
 # per command: (required fields, optional fields)
 _SCHEMAS = {
-    "validate": ({"spec", "window"}, {"f"}),
-    "invert": ({"spec", "window"}, set()),
-    "phi": ({"p", "n_terms"}, set()),
-    "cstar": ({"p"}, set()),
-    "predict": ({"spec", "hypotheses"}, set()),
-    "simulate": ({"spec", "n", "k_half"}, {"f", "trials", "l"}),
-    "limsup": (
-        {"checkpoints", "trials"},
-        {"spec", "alpha", "hypotheses", "f", "mode", "log_s"},
+    "validate": ({"spec": "object", "window": "object"}, {"f": "object"}),
+    "invert": ({"spec": "object", "window": "object"}, {}),
+    "phi": ({"p": "numbers", "n_terms": "int"}, {}),
+    "cstar": ({"p": "numbers"}, {}),
+    "predict": ({"spec": "object", "hypotheses": "object"}, {}),
+    "simulate": (
+        {"spec": "object", "n": "int", "k_half": "int"},
+        {"f": "object", "trials": "int", "l": "int"},
     ),
-    "symmetrize": ({"spec", "window", "f"}, {"alpha"}),
+    "limsup": (
+        {"checkpoints": "ints", "trials": "int"},
+        {
+            "spec": "object",
+            "alpha": "number",
+            "hypotheses": "object",
+            "f": "object",
+            "mode": "string",
+            "log_s": "numbers",
+        },
+    ),
+    "symmetrize": (
+        {"spec": "object", "window": "object", "f": "object"},
+        {"alpha": "number"},
+    ),
 }
 _NEEDS_SEED = {"simulate", "limsup"}
+_LIMSUP_MODES = ("permanental", "gaussian-lil")
 
 
 class ConfigError(ValueError):
@@ -85,32 +104,57 @@ def _q(value, citation):
     return {"value": value, "citation": citation}
 
 
-def _check_fields(doc, allowed, required, where):
-    unknown = sorted(set(doc) - allowed)
+def _has_kind(value, kind):
+    if kind in ("numbers", "ints"):
+        if not isinstance(value, list):
+            return False
+        try:
+            arr = np.asarray(value)
+        except ValueError:          # ragged nesting
+            return False
+        return arr.ndim == 1 and arr.dtype.kind in ("i" if kind == "ints" else "if")
+    if isinstance(value, bool):          # JSON true/false is not a number
+        return kind == "bool"
+    types = {"bool": bool, "int": int, "number": (int, float), "string": str,
+             "object": dict}
+    return isinstance(value, types[kind])
+
+
+def _check_fields(doc, kinds, required, where):
+    """Refuse a config object with unknown, missing or wrongly typed fields.
+
+    `kinds` maps every allowed field to its JSON kind (`_has_kind`).
+    """
+    unknown = sorted(set(doc) - set(kinds))
     if unknown:
         raise ConfigError(f"unknown fields in {where}: {unknown}")
-    missing = sorted(required - set(doc))
+    missing = sorted(set(required) - set(doc))
     if missing:
         raise ConfigError(f"missing fields in {where}: {missing}")
+    for key, value in doc.items():
+        if not _has_kind(value, kinds[key]):
+            raise ConfigError(
+                f"{where} field {key!r} must be of kind {kinds[key]}, got {value!r:.40}"
+            )
 
 
 def _window(doc):
-    _check_fields(doc, {"l", "n"}, {"l", "n"}, "window")
-    return Window(l=int(doc["l"]), n=int(doc["n"]))
+    _check_fields(doc, _WINDOW, _WINDOW, "window")
+    return Window(l=doc["l"], n=doc["n"])
 
 
 def _parse_f(doc, spec, window):
     """Potential values on the window, from literal values or a density."""
-    _check_fields(doc, {"values", "density", "start", "tail"}, set(), "f")
+    _check_fields(doc, _F, (), "f")
     if ("values" in doc) == ("density" in doc):
         raise ConfigError("f needs exactly one of 'values' or 'density'")
     if "values" in doc:
-        start = int(doc.get("start", window.l + 1))
+        start = doc.get("start", window.l + 1)
         pf = PotentialFunction(values=np.asarray(doc["values"], float), start=start)
         return pf.on_window(window)
     h = DensitySequence(
         values=np.asarray(doc["density"], float),
-        start=int(doc.get("start", 1)),
+        start=doc.get("start", 1),
         tail=float(doc.get("tail", 0.0)),
     )
     return apply_potential(spec, h, window).values
@@ -265,7 +309,7 @@ def _run_invert(cfg, seed, outdir, quiet, written):
 
 def _run_phi(cfg, seed, outdir, quiet, written):
     p = np.asarray(cfg["p"], dtype=float)
-    n_terms = int(cfg["n_terms"])
+    n_terms = cfg["n_terms"]
     seq = phi_recursive(p, n_terms)
     closed = phi_closed(p, n_terms)
     gap = float(np.abs(seq.values - closed.values).max())
@@ -339,10 +383,10 @@ def _run_predict(cfg, seed, outdir, quiet, written):
 
 def _run_simulate(cfg, seed, outdir, quiet, written):
     spec = KernelSpec.from_config(cfg["spec"])
-    n = int(cfg["n"])
-    l = int(cfg.get("l", 0))
-    trials = int(cfg.get("trials", 1))
-    k_half = int(cfg["k_half"])
+    n = cfg["n"]
+    l = cfg.get("l", 0)
+    trials = cfg.get("trials", 1)
+    k_half = cfg["k_half"]
     window = Window(l, n)
     fw = _parse_f(cfg["f"], spec, window) if "f" in cfg else None
     batch = sample_permanental(spec, fw, k_half, n, seed, trials=trials, l=l)
@@ -394,9 +438,13 @@ def _run_simulate(cfg, seed, outdir, quiet, written):
 
 def _run_limsup(cfg, seed, outdir, quiet, written):
     mode = cfg.get("mode", "permanental")
-    checkpoints = tuple(int(c) for c in cfg["checkpoints"])
-    trials = int(cfg["trials"])
+    if mode not in _LIMSUP_MODES:
+        raise ConfigError(f"mode must be one of {_LIMSUP_MODES}")
+    checkpoints = tuple(cfg["checkpoints"])
+    trials = cfg["trials"]
     if mode == "gaussian-lil":
+        if "log_s" not in cfg:
+            raise ConfigError("gaussian-lil limsup needs log_s")
         config = ExperimentConfig(
             spec=None,
             alpha=None,
@@ -506,11 +554,15 @@ def _load_config(path):
     if not isinstance(doc, dict) or "command" not in doc:
         raise ConfigError("config must be a JSON object with a 'command' field")
     command = doc["command"]
-    if command not in _RUNNERS:
+    if not isinstance(command, str) or command not in _RUNNERS:
         raise ConfigError(f"unknown command: {command!r}")
     required, optional = _SCHEMAS[command]
-    allowed = {"command", "seed", "out"} | required | optional
-    _check_fields(doc, allowed, required, "config")
+    _check_fields(doc, {**_COMMON, **required, **optional}, required, "config")
+    # a killed walk lives on Z, not on the windows of a sequence that these
+    # commands invert, extend or stream
+    walk = doc.get("spec", {}).get("family") == "killed_walk"
+    if walk and command in ("invert", "symmetrize", "limsup"):
+        raise ConfigError(f"{command} does not take a killed_walk spec")
     return command, doc
 
 
@@ -540,7 +592,7 @@ def main(argv=None):
     except IdentityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     if not args.quiet:

@@ -5,7 +5,8 @@ the 1-based labelling used throughout the docstrings, so entry (j, k) of a
 window sits at [j-l-1, k-l-1] of the dense array.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.signal import lfilter
@@ -27,7 +28,10 @@ CONSTANT_ULPS = 4
 
 
 def _as_float_array(values, name):
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of numbers") from None
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(arr)):
@@ -169,15 +173,46 @@ class KernelSpec:
 
     @staticmethod
     def from_config(doc):
-        try:
-            fam = doc["family"]
-        except (TypeError, KeyError):
-            raise ValueError("kernel config requires a 'family' tag") from None
+        """Spec from a config object; a malformed one raises ValueError.
+
+        The fields are exactly the family's dataclass fields, all required.
+        Scalar fields must hold numbers of their annotated type, and `dict`
+        fields objects of numbers; arrays are checked where they are
+        converted.
+        """
+        fam = doc.get("family") if isinstance(doc, dict) else None
+        if not isinstance(fam, str):
+            raise ValueError("kernel config requires a 'family' tag")
         try:
             cls = _FAMILIES[fam]
         except KeyError:
             raise ValueError(f"unknown kernel family: {fam!r}") from None
+        unknown = sorted(set(doc) - {"family"} - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown fields in {fam} kernel config: {unknown}")
+        for f in fields(cls):
+            if f.name not in doc:
+                raise ValueError(f"{fam} kernel config needs {f.name!r}")
+            if not _config_value_ok(doc[f.name], f.type):
+                raise ValueError(
+                    f"{fam} kernel field {f.name!r} must be of type "
+                    f"{f.type.__name__}, got {doc[f.name]!r:.40}"
+                )
         return cls._from_config(doc)
+
+
+def _is_real(value):
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _config_value_ok(value, kind):
+    if kind is float:
+        return _is_real(value)
+    if kind is int:
+        return isinstance(value, Integral) and not isinstance(value, bool)
+    if kind is dict:
+        return isinstance(value, dict) and all(map(_is_real, value.values()))
+    return True
 
 
 def _require_increasing_positive(s, name="s"):

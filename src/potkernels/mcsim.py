@@ -17,6 +17,7 @@ configurations reproduce bitwise-identical reports.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.signal import lfilter
 from scipy.special import betainc, gammainc
 
@@ -554,32 +555,47 @@ def analytic_median_band(diag, phi_at_n, alpha, trials, coverage=0.95):
     which the per-trial CDF of the normalized running maximum is the product
     of the marginal CDFs, and the median of an odd number of trials has an
     exact Beta order-statistic law. Returns the central `coverage` interval.
+
+    Coordinates with equal U[j,j] share a marginal CDF, so the log of the
+    product is a sum over the distinct values of phi_at_n / U[j,j], each
+    weighted by its count: one `gammainc` term per distinct value. Each edge
+    is bracketed by doubling or halving from t = 1 within [1e-9, 1e9] and
+    then solved by Brent's method (`brentq`) to a relative 4 eps.
     """
-    if trials % 2 != 1:
-        raise ValueError("trials must be odd for the exact median band")
+    if trials < 1 or trials % 2 != 1:
+        raise ValueError("trials must be a positive odd count")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError("alpha must be finite and positive")
+    if not 0.0 < coverage < 1.0:
+        raise ValueError("coverage must lie in (0, 1)")
     diag = np.asarray(diag, dtype=float)
+    if diag.size == 0:
+        raise ValueError("diagonal must be nonempty")
     if not (np.isfinite(phi_at_n) and phi_at_n > 0 and np.all(diag > 0)):
         raise ValueError("need positive diagonal and normalizer")
-    ratio = float(phi_at_n) / diag
+    ratio, counts = np.unique(float(phi_at_n) / diag, return_counts=True)
     m = (trials + 1) // 2
 
-    def median_cdf(t):
-        logH = np.log(gammainc(alpha, t * ratio)).sum()
-        return float(betainc(m, m, np.exp(logH)))
+    def excess(t, target):
+        logH = counts @ np.log(gammainc(alpha, t * ratio))
+        return float(betainc(m, m, np.exp(logH))) - target
 
     def invert(target):
-        lo, hi = 1e-9, 1.0
-        while median_cdf(hi) < target:
-            hi *= 2.0
-            if hi > 1e9:
+        below = excess(1.0, target) < 0
+        step = 2.0 if below else 0.5
+        t = 1.0
+        while True:
+            u = t * step
+            if not 1e-9 <= u <= 1e9:
                 raise IdentityError("trend-band", "band bracket failed")
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if median_cdf(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+            if (excess(u, target) < 0) != below:
+                break
+            t = u
+        lo, hi = min(t, u), max(t, u)
+        # the default xtol is an absolute 2e-12; a negligible one leaves
+        # the stop to rtol
+        return brentq(excess, lo, hi, args=(target,), xtol=1e-300,
+                      rtol=4 * np.finfo(float).eps)
 
     tail = (1.0 - coverage) / 2.0
     return invert(tail), invert(1.0 - tail)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import potkernels
-from potkernels.cli import main
+from potkernels.cli import _RUNNERS, main
 
 
 def run_cli(tmp_path, cfg, *extra, name="config.json", outname="out"):
@@ -399,6 +399,76 @@ class TestErrorPaths:
         code, _ = run_cli(tmp_path, cfg)
         assert code == 2
         assert "window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("trials", None),
+            ("checkpoints", 5),
+            ("checkpoints", [100.5]),
+            ("alpha", "half"),
+            ("spec", [1, 2]),
+            ("hypotheses", {"f_class": "zero", "alpha": None}),
+            ("seed", "7"),
+        ],
+    )
+    def test_wrongly_typed_field_exits_two(self, tmp_path, capsys, field, value):
+        cfg = {
+            "command": "limsup",
+            "spec": exp_spec(200),
+            "alpha": 0.5,
+            "hypotheses": {"f_class": "zero", "alpha": 0.5, "gaps": "separated"},
+            "checkpoints": [100, 200],
+            "trials": 3,
+            "seed": 7,
+        }
+        cfg[field] = value
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and field in err
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"command": "invert", "spec": {"family": "min"}, "window": {"l": 0, "n": 3}},
+            {"command": "invert", "spec": min_spec(5), "window": {"l": 0}},
+            {"command": "limsup", "mode": "gaussian-lil", "checkpoints": [3],
+             "trials": 3, "seed": 1},
+            {"command": "predict", "hypotheses": {"f_class": "zero", "alpha": 0.5},
+             "spec": {"family": "killed_walk", "step_rates": [0.5, 0.5],
+                      "beta": 0.5, "radius": 5}},
+        ],
+        ids=["spec-field", "window-field", "log_s", "step-rates-type"],
+    )
+    def test_missing_or_malformed_nested_field_exits_two(self, tmp_path, capsys, cfg):
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["invert", "symmetrize", "limsup"])
+    def test_killed_walk_on_sequence_command_exits_two(self, tmp_path, capsys, command):
+        walk = {"family": "killed_walk", "step_rates": {"-1": 0.5, "1": 0.5},
+                "beta": 0.5, "radius": 5}
+        cfg = {
+            "invert": {"window": {"l": 0, "n": 3}},
+            "symmetrize": {"window": {"l": 0, "n": 3}, "f": {"values": [1, 1, 1]}},
+            "limsup": {"alpha": 0.5, "checkpoints": [3], "trials": 3, "seed": 1,
+                       "hypotheses": {"f_class": "zero", "alpha": 0.5}},
+        }[command]
+        code, _ = run_cli(tmp_path, {"command": command, "spec": walk, **cfg})
+        assert code == 2
+        assert "killed_walk" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [TypeError, KeyError])
+    def test_internal_error_propagates(self, tmp_path, monkeypatch, error):
+        # a bug inside a runner is not a usage error: it must surface
+        def broken(*args):
+            raise error("internal")
+
+        monkeypatch.setitem(_RUNNERS, "cstar", broken)
+        with pytest.raises(error):
+            run_cli(tmp_path, cstar_config())
 
     def test_identity_failure_exits_one(self, tmp_path, capsys):
         cfg = {

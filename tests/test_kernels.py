@@ -315,3 +315,23 @@ class TestConfigRoundTrip:
         clone = KernelSpec.from_config(doc)
         assert type(clone) is type(spec)
         assert clone.to_config() == doc
+
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ({"family": "ar1_shifted", "x": [0.5, 0.5]}, "delta_tilde"),
+            ({"family": "ar1", "x": [0.5, 0.5], "delta_tilde": 1.5}, "delta_tilde"),
+            ({"family": "ark_gen", "p": [0.5, 0.25], "a_sq": None}, "a_sq"),
+            ({"family": "killed_walk", "step_rates": {"1": [0.5]}, "beta": 1.0,
+              "radius": 10}, "step_rates"),
+            ({"family": "killed_walk", "step_rates": {"1": 0.5}, "beta": 1.0,
+              "radius": 2.5}, "radius"),
+            ({"family": "min", "s": [{}]}, "s"),
+            ({"family": ["min"], "s": [1.0]}, "family"),
+        ],
+        ids=["missing", "unknown", "null-scalar", "rate-list", "float-int",
+             "array-of-objects", "family-list"],
+    )
+    def test_malformed_config_is_a_value_error(self, doc, named):
+        with pytest.raises(ValueError, match=named):
+            KernelSpec.from_config(doc)

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import betainc, gammainc
 
 from potkernels import (
     AR1,
@@ -180,8 +183,6 @@ class TestGammaMarginals:
         spec = ExpKernel(v=np.arange(30.0))
         batch = sample_permanental(spec, None, k_half=1, n=30, seed=10, trials=20_000)
         t = np.sort(batch.values[:, 9] / 3.0)
-        from scipy.special import gammainc
-
         from potkernels.mcsim import KS_CRITICAL_5PCT, _ks_statistic
 
         stat = _ks_statistic(gammainc(0.5, t))
@@ -242,6 +243,36 @@ class TestTrendExperiment:
             limsup_experiment(cfg, pred)
 
 
+def bisection_band(diag, phi_at_n, alpha, trials, coverage=0.95):
+    """Reference band: 80-step bisection on the ungrouped diagonal.
+
+    The same Beta order-statistic law as `analytic_median_band`, evaluated
+    with one `gammainc` term per diagonal entry and inverted by bisection
+    from [1e-9, hi], hi doubled from 1 until it brackets the edge.
+    """
+    ratio = float(phi_at_n) / np.asarray(diag, dtype=float)
+    m = (trials + 1) // 2
+
+    def median_cdf(t):
+        logH = np.log(gammainc(alpha, t * ratio)).sum()
+        return float(betainc(m, m, np.exp(logH)))
+
+    def invert(target):
+        lo, hi = 1e-9, 1.0
+        while median_cdf(hi) < target:
+            hi *= 2.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if median_cdf(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    tail = (1.0 - coverage) / 2.0
+    return invert(tail), invert(1.0 - tail)
+
+
 class TestCalibrationBand:
     def test_band_covers_surrogate_median(self):
         # brute-force the iid Gamma(1/2) surrogate the band is built from
@@ -259,6 +290,61 @@ class TestCalibrationBand:
     def test_requires_odd_trials(self):
         with pytest.raises(ValueError):
             analytic_median_band(np.ones(10), 1.0, 0.5, 4)
+
+    @pytest.mark.parametrize("trials", [-1, 0])
+    def test_rejects_nonpositive_trials(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            analytic_median_band(np.ones(10), 1.0, 0.5, trials)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, np.nan, np.inf])
+    def test_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            analytic_median_band(np.ones(10), 1.0, alpha, 5)
+
+    def test_rejects_empty_diagonal(self):
+        with pytest.raises(ValueError, match="diagonal"):
+            analytic_median_band(np.ones(0), 1.0, 0.5, 5)
+
+    @pytest.mark.parametrize("coverage", [0.0, 1.0, 1.5, -0.2, np.nan])
+    def test_rejects_coverage_outside_unit_interval(self, coverage):
+        with pytest.raises(ValueError, match="coverage"):
+            analytic_median_band(np.ones(10), 1.0, 0.5, 5, coverage)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pool=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=4),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=300),
+        phi_at_n=st.floats(0.1, 10.0),
+        alpha=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+        trials=st.integers(0, 20).map(lambda k: 2 * k + 1),
+        coverage=st.floats(0.5, 0.99),
+    )
+    def test_matches_bisection_reference(
+        self, pool, picks, phi_at_n, alpha, trials, coverage
+    ):
+        # diagonal entries drawn from a pool of at most 4 values, so ties
+        # are the rule and the grouped sum is exercised
+        diag = np.array([pool[i % len(pool)] for i in picks])
+        got = analytic_median_band(diag, phi_at_n, alpha, trials, coverage)
+        ref = bisection_band(diag, phi_at_n, alpha, trials, coverage)
+        np.testing.assert_allclose(got, ref, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec, hyp",
+        [
+            (ExpKernel(v=np.arange(1.0, 2001.0)), {"gaps": "separated"}),
+            (AR1(x=np.full(2000, 0.5)), {"x_limit": 0.5}),
+            (ARk(p=(1.0 / 3.0, 5.0 / 9.0, 1.0 / 9.0)), {}),
+        ],
+        ids=["exp", "ar1", "ark"],
+    )
+    def test_trend_band_shapes_match_bisection(self, spec, hyp):
+        n = 2000
+        diag = kernel_diagonal(spec, n)
+        phi_at_n = float(predict(spec, "zero", 0.5, **hyp).normalizer(n))
+        got = analytic_median_band(diag, phi_at_n, 0.5, 21)
+        ref = bisection_band(diag, phi_at_n, 0.5, 21)
+        np.testing.assert_allclose(got, ref, rtol=1e-12)
 
     def test_spec_front_end(self):
         spec = ExpKernel(v=np.arange(1.0, 501.0))
