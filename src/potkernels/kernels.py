@@ -3,9 +3,27 @@
 Sequences are stored 0-based; a Window(l, n) covers positions l+1 ... l+n in
 the 1-based labelling used throughout the docstrings, so entry (j, k) of a
 window sits at [j-l-1, k-l-1] of the dense array.
+
+Each family spec says what it is through one method set, which the module
+functions call after checking `admissibility()`:
+
+- `window_entries(window)`: dense kernel values (`build_kernel`);
+- `generator(size)`: truncated generator and its band (`build_generator`);
+- `diagonal(n)`: U[j,j] for j = 1..n (`mcsim.kernel_diagonal`);
+- `path_stream(n_max, rng, rows, chunk)`: chunked Gaussian paths with the
+  kernel as covariance, or None where only the dense route of
+  `path_covariance(n)` exists (rank-one updates, the killed walk);
+- `admissibility()`: the family's `AdmissibilityDecision`;
+- `hypotheses` and `prediction(f_class, alpha, **declared)`: the limit
+  hypotheses that `normalizers.predict` reads, and the theorem they select.
+
+The shifted families delegate to the family they are built from, `base`:
+`ShiftedScaled` is `ScaledMinKernel(s + Delta, b)`, and `AR1Shifted` and
+`ARkGen` are AR1 and ARk with the first innovation scaled.
 """
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
@@ -13,6 +31,14 @@ from scipy.signal import lfilter
 
 from .argen import phi_recursive
 from .identities import IdentityError
+from .normalizers import (
+    NoTheorem,
+    _predict_ar1,
+    _predict_ark,
+    _predict_exp,
+    _predict_killed_walk,
+    _predict_min_like,
+)
 
 # s values beyond this would silently lose the increments that the closed
 # inverses divide by, so builders refuse rather than degrade.
@@ -70,6 +96,31 @@ def _one_pole(a, u, y0):
     for j in range(ut.shape[0]):
         prev = yt[j] = a[j] * prev + ut[j]
     return y
+
+
+def _chunks(n_max, chunk):
+    j = 0
+    while j < n_max:
+        m = min(chunk, n_max - j)
+        yield j, m
+        j += m
+
+
+def _part(c, j0, m):
+    return c if np.ndim(c) == 0 else c[j0 : j0 + m]
+
+
+def _stream_one_pole(a, scale, y0, rng, rows, n_max, chunk, first_scale=1.0):
+    # y[j] = a[j] y[j-1] + scale[j] g[j] from y[-1] = y0, with a and scale
+    # scalars or per-index arrays; the first innovation is scaled
+    for j0, m in _chunks(n_max, chunk):
+        g = rng.standard_normal((rows, m))
+        if j0 == 0:
+            g[:, 0] *= first_scale
+        g *= _part(scale, j0, m)           # in place: rows x m can be large
+        block = _one_pole(_part(a, j0, m), g, y0)
+        y0 = block[:, -1].copy()
+        yield block
 
 
 @dataclass(frozen=True)
@@ -154,22 +205,49 @@ def _register(cls):
     return cls
 
 
+def _field_equal(a, b):
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+def _field_key(value):
+    if isinstance(value, np.ndarray):
+        return (value + 0.0).tobytes()      # + 0.0 turns -0.0 into 0.0
+    if isinstance(value, dict):
+        return tuple(sorted(value.items()))
+    return value
+
+
 @dataclass(frozen=True)
 class KernelSpec:
-    """Base for the tagged kernel families."""
+    """Base for the tagged kernel families (protocol: module docstring)."""
 
     family = None
+    hypotheses = ()
 
     def __eq__(self, other):
         if not isinstance(other, KernelSpec):
             return NotImplemented
-        return self.to_config() == other.to_config()
+        return type(self) is type(other) and all(
+            map(_field_equal, self._values(), other._values())
+        )
 
     def __hash__(self):
-        return hash(repr(self.to_config()))
+        return hash((self.family, *map(_field_key, self._values())))
+
+    def _values(self):
+        return [getattr(self, f.name) for f in fields(self)]
 
     def to_config(self):
         raise NotImplementedError
+
+    def path_stream(self, n_max, rng, rows, chunk):
+        return None
+
+    def path_covariance(self, n):
+        return self.window_entries(Window(0, n))
+
+    def admissibility(self):
+        return _NO_CONSTRAINT
 
     @staticmethod
     def from_config(doc):
@@ -201,6 +279,61 @@ class KernelSpec:
         return cls._from_config(doc)
 
 
+class _Derived(KernelSpec):
+    """A family that is the kernel of another family, `base`.
+
+    Every protocol method that the subclass does not override runs on
+    `base`; the subclass keeps its own config and admissibility bound.
+    """
+
+    @property
+    def hypotheses(self):
+        return self.base.hypotheses
+
+    def window_entries(self, window):
+        return self.base.window_entries(window)
+
+    def generator(self, size):
+        return self.base.generator(size)
+
+    def diagonal(self, n):
+        return self.base.diagonal(n)
+
+    def path_stream(self, n_max, rng, rows, chunk):
+        return self.base.path_stream(n_max, rng, rows, chunk)
+
+    def prediction(self, f_class, alpha, **declared):
+        return self.base.prediction(f_class, alpha, **declared)
+
+
+class _FirstInnovationScaled(_Derived):
+    """An autoregression `base` whose first innovation is scaled.
+
+    With t the base's response to the first innovation, the kernel is the
+    base kernel plus `_weight` t t^T and the generator differs from the
+    base only at [0, 0], where -Q holds `_corner`. The path stream scales
+    the first innovation by `_first_scale`. Subclasses give these and
+    `_response(n)`, each in the arithmetic of their own parametrization.
+    """
+
+    def window_entries(self, window):
+        t = self._response(window.l + window.n)[window.l :]
+        return self.base.window_entries(window) + self._weight * np.outer(t, t)
+
+    def diagonal(self, n):
+        return self.base.diagonal(n) + self._weight * self._response(n) ** 2
+
+    def generator(self, size):
+        Q, band = self.base.generator(size)
+        Q[0, 0] = -self._corner
+        return Q, band
+
+    def path_stream(self, n_max, rng, rows, chunk):
+        return self.base.path_stream(
+            n_max, rng, rows, chunk, first_scale=self._first_scale
+        )
+
+
 def _is_real(value):
     return isinstance(value, Real) and not isinstance(value, bool)
 
@@ -224,6 +357,43 @@ def _require_increasing_positive(s, name="s"):
         raise ValueError(f"{name} exceeds {OVERFLOW_LIMIT:g}; rebuild in log space")
 
 
+def _min_entries(s, window):
+    idx = np.arange(window.l, window.l + window.n)
+    if idx[-1] >= s.size:
+        raise ValueError("window extends past supplied s")
+    return s[np.minimum.outer(idx, idx)]
+
+
+def _min_generator(s, size):
+    # -Q with a[0] = 1/s1, a[m] = 1/(s_{m+1} - s_m)
+    if s.size < size + 1:
+        raise ValueError("generator truncation needs len(s) >= size + 1")
+    gaps = np.empty(size + 1)
+    gaps[0] = s[0]
+    gaps[1:] = np.diff(s[: size + 1])
+    a = 1.0 / gaps
+    return _tridiag(a[:size] + a[1 : size + 1], -a[1:size])
+
+
+def _tridiag(diag, off):
+    n = diag.size
+    M = np.zeros((n, n))
+    M[np.arange(n), np.arange(n)] = diag
+    M[np.arange(n - 1), np.arange(1, n)] = off
+    M[np.arange(1, n), np.arange(n - 1)] = off
+    return M
+
+
+def _stream_min(s, b, rng, rows, n_max, chunk):
+    # independent increments of variance s[j] - s[j-1], divided by b if given
+    if s.size < n_max:
+        raise ValueError("stored s shorter than the requested length")
+    inc = np.sqrt(np.diff(np.concatenate(([0.0], s[:n_max]))))
+    stream = _stream_one_pole(1.0, inc, np.zeros(rows), rng, rows, n_max, chunk)
+    for j0, block in zip(range(0, n_max, chunk), stream):
+        yield block if b is None else block / b[j0 : j0 + block.shape[1]]
+
+
 @_register
 @dataclass(frozen=True, eq=False)
 class MinKernel(KernelSpec):
@@ -231,6 +401,7 @@ class MinKernel(KernelSpec):
 
     s: np.ndarray
     family = "min"
+    hypotheses = ("growth",)
 
     def __post_init__(self):
         object.__setattr__(self, "s", _as_float_array(self.s, "s"))
@@ -243,6 +414,24 @@ class MinKernel(KernelSpec):
     def _from_config(cls, doc):
         return cls(s=doc["s"])
 
+    def window_entries(self, window):
+        return _min_entries(self.s, window)
+
+    def generator(self, size):
+        return -_min_generator(self.s, size), 1
+
+    def diagonal(self, n):
+        return self.s[:n].copy()
+
+    def path_stream(self, n_max, rng, rows, chunk):
+        return _stream_min(self.s, None, rng, rows, n_max, chunk)
+
+    def prediction(self, f_class, alpha, growth=None):
+        s = self.s
+        return _predict_min_like(
+            np.log(s), lambda jj: s[jj - 1], "s[j]", "min", f_class, growth
+        )
+
 
 @_register
 @dataclass(frozen=True, eq=False)
@@ -252,6 +441,7 @@ class ScaledMinKernel(KernelSpec):
     s: np.ndarray
     b: np.ndarray
     family = "scaled_min"
+    hypotheses = ("growth",)
 
     def __post_init__(self):
         object.__setattr__(self, "s", _as_float_array(self.s, "s"))
@@ -269,6 +459,29 @@ class ScaledMinKernel(KernelSpec):
     def _from_config(cls, doc):
         return cls(s=doc["s"], b=doc["b"])
 
+    def window_entries(self, window):
+        b = self.b[window.l : window.l + window.n]
+        return _min_entries(self.s, window) / np.outer(b, b)
+
+    def generator(self, size):
+        if self.b.size < size:
+            raise ValueError("generator truncation needs len(b) >= size")
+        b = self.b[:size]
+        return -(_min_generator(self.s, size) * np.outer(b, b)), 1
+
+    def diagonal(self, n):
+        return self.s[:n] / self.b[:n] ** 2
+
+    def path_stream(self, n_max, rng, rows, chunk):
+        return _stream_min(self.s, self.b[:n_max], rng, rows, n_max, chunk)
+
+    def prediction(self, f_class, alpha, growth=None):
+        s, b = self.s, self.b
+        return _predict_min_like(
+            np.log(s), lambda jj: s[jj - 1] / b[jj - 1] ** 2, "W[j,j]", "scaled-min",
+            f_class, growth,
+        )
+
 
 @_register
 @dataclass(frozen=True, eq=False)
@@ -277,6 +490,7 @@ class ExpKernel(KernelSpec):
 
     v: np.ndarray
     family = "exp"
+    hypotheses = ("growth", "gaps")
 
     def __post_init__(self):
         object.__setattr__(self, "v", _as_float_array(self.v, "v"))
@@ -300,6 +514,46 @@ class ExpKernel(KernelSpec):
             raise ValueError("e^{2v} overflows; use the exp form directly")
         return ScaledMinKernel(s=np.exp(2.0 * self.v), b=np.exp(self.v))
 
+    def window_entries(self, window):
+        if window.l + window.n > self.v.size:
+            raise ValueError("window extends past supplied v")
+        v = self.v[window.l : window.l + window.n]
+        return np.exp(-np.abs(np.subtract.outer(v, v)))
+
+    def generator(self, size):
+        # gap form of D_b Q(s) D_b with b = e^v, s = e^{2v}; stays finite for any v
+        if self.v.size < size + 1:
+            raise ValueError("generator truncation needs len(v) >= size + 1")
+        g = np.diff(self.v[: size + 1])
+        diag = np.empty(size)
+        diag[0] = 1.0 + 1.0 / np.expm1(2.0 * g[0])
+        if size > 1:
+            diag[1:] = 1.0 / -np.expm1(-2.0 * g[:-1]) + 1.0 / np.expm1(2.0 * g[1:])
+        return -_tridiag(diag, -0.5 / np.sinh(g[:-1])), 1
+
+    def diagonal(self, n):
+        return np.ones(n)
+
+    def path_stream(self, n_max, rng, rows, chunk):
+        if self.v.size < n_max:
+            raise ValueError("stored v shorter than the requested length")
+        v = self.v[:n_max]
+        gaps = np.diff(v)
+        gap = _steady(gaps, np.abs(v).max()) if gaps.size else np.inf
+        state = rng.standard_normal(rows)      # stationary start, unit variance
+        if np.ndim(gap) == 0:
+            # even grid: the path starts one gap after the stationary draw
+            a = float(np.exp(-gap))
+        else:
+            # uneven grid: the path starts at the stationary draw
+            a = np.exp(-np.concatenate(([0.0], gap)))
+        yield from _stream_one_pole(
+            a, np.sqrt(1.0 - a * a), state, rng, rows, n_max, chunk
+        )
+
+    def prediction(self, f_class, alpha, growth=None, gaps=None):
+        return _predict_exp(self.v, f_class, growth, gaps)
+
 
 @_register
 @dataclass(frozen=True, eq=False)
@@ -312,6 +566,7 @@ class AR1(KernelSpec):
 
     x: np.ndarray
     family = "ar1"
+    hypotheses = ("x_limit", "reg_var_index", "rate_limit", "rate_index")
 
     def __post_init__(self):
         object.__setattr__(self, "x", _as_float_array(self.x, "x"))
@@ -335,10 +590,47 @@ class AR1(KernelSpec):
         d[1:] = _one_pole(self.x[: n - 1] ** 2, d[1:], 1.0)
         return d
 
+    def window_entries(self, window):
+        x = self.x
+        hi = window.l + window.n
+        if hi > x.size + 1:
+            raise ValueError("window extends past supplied x")
+        d = self.diagonal(hi)
+        # U[j,k] = U[j,j] prod(x[j..k-1]) for j <= k; the product is built from
+        # log sums so long windows underflow to 0 instead of degrading to NaN
+        lo = window.l
+        dj = d[lo:hi]
+        logt = np.zeros(hi)
+        logt[1:] = np.cumsum(np.log(x[: hi - 1]))
+        lt = logt[lo:hi]
+        decay = np.exp(-np.abs(np.subtract.outer(lt, lt)))
+        # the diagonal factor belongs to the smaller index of the pair
+        return np.minimum.outer(dj, dj) * decay
+
+    def generator(self, size):
+        x = self.x
+        if x.size < size:
+            raise ValueError("generator truncation needs len(x) >= size")
+        return -_tridiag(1.0 + x[:size] ** 2, -x[: size - 1]), 1
+
+    def path_stream(self, n_max, rng, rows, chunk, first_scale=1.0):
+        # xi[1] = first_scale g[1], xi[n] = x[n-1] xi[n-1] + g[n]
+        if self.x.size < n_max - 1:
+            raise ValueError("stored x shorter than the requested length")
+        a = _steady(self.x[: n_max - 1])
+        if np.ndim(a):
+            a = np.concatenate((a[:1], a))     # a[0] meets y[-1] = 0
+        yield from _stream_one_pole(
+            a, 1.0, np.zeros(rows), rng, rows, n_max, chunk, first_scale
+        )
+
+    def prediction(self, f_class, alpha, **declared):
+        return _predict_ar1(self, f_class, alpha, **declared)
+
 
 @_register
 @dataclass(frozen=True, eq=False)
-class AR1Shifted(KernelSpec):
+class AR1Shifted(_FirstInnovationScaled):
     """AR1 with the first innovation scaled by delta_tilde."""
 
     x: np.ndarray
@@ -362,9 +654,29 @@ class AR1Shifted(KernelSpec):
     def _from_config(cls, doc):
         return cls(x=doc["x"], delta_tilde=doc["delta_tilde"])
 
-    @property
+    @cached_property
     def base(self):
         return AR1(self.x)
+
+    _first_scale = property(lambda self: self.delta_tilde)
+    _weight = property(lambda self: self.delta_tilde**2 - 1.0)
+    _corner = property(lambda self: 1.0 / self.delta_tilde**2 + self.x[0] ** 2)
+
+    def _response(self, n):
+        # t[j] = prod(x[:j-1]), the response of xi[j] to the first innovation
+        return np.concatenate(([1.0], np.cumprod(self.x[: n - 1])))
+
+    def admissibility(self):
+        x1 = self.x[0]
+        upper = np.inf if x1 >= 1.0 else 1.0 / (x1 * (1.0 - x1))
+        val = self.delta_tilde**2
+        return AdmissibilityDecision(
+            admissible=bool(0.0 < val <= upper),
+            key="shift-admissible-ar1",
+            value=val,
+            bound=(0.0, float(upper)),
+            detail=f"0 < delta_tilde^2 <= 1/(x1 (1 - x1)) = {upper:.6g}",
+        )
 
 
 @_register
@@ -378,6 +690,7 @@ class ARk(KernelSpec):
 
     p: np.ndarray
     family = "ark"
+    hypotheses = ("f_sqrt_small",)
 
     def __post_init__(self):
         object.__setattr__(self, "p", _as_float_array(self.p, "p"))
@@ -401,10 +714,56 @@ class ARk(KernelSpec):
     def _from_config(cls, doc):
         return cls(p=doc["p"])
 
+    def window_entries(self, window):
+        hi = window.l + window.n
+        ph = phi_recursive(self.p, hi).values
+        # V[m,n] = sum_{t=1..min(m,n)} phi[t] phi[t+|m-n|]; a cumsum per lag
+        out = np.empty((window.n, window.n))
+        for dlag in range(window.n):
+            csum = np.cumsum(ph[: hi - dlag] * ph[dlag:hi])
+            idx = np.arange(window.n - dlag)
+            out[idx, idx + dlag] = csum[window.l + idx]
+            out[idx + dlag, idx] = csum[window.l + idx]
+        return out
+
+    def generator(self, size):
+        if not self.p_non_increasing:
+            raise IdentityError(
+                "q-matrix-signs",
+                "ARk generator requires non-increasing p; increasing weights can "
+                "flip off-diagonal signs",
+            )
+        p, k = self.p, self.k
+        A = np.zeros((size, size))
+        np.fill_diagonal(A, 1.0 + np.sum(p**2))
+        for d in range(1, min(k, size - 1) + 1):
+            val = -p[d - 1] + np.dot(p[: k - d], p[d:k])
+            idx = np.arange(size - d)
+            A[idx, idx + d] = val
+            A[idx + d, idx] = val
+        return -A, k
+
+    def diagonal(self, n):
+        return np.cumsum(phi_recursive(self.p, n).values ** 2)
+
+    def path_stream(self, n_max, rng, rows, chunk, first_scale=1.0):
+        # y[n] = sum p[l] y[n-l] + g[n] with empty history; y[1] scaled
+        a = np.concatenate(([1.0], -self.p))
+        zi = np.zeros((rows, a.size - 1))
+        for j0, m in _chunks(n_max, chunk):
+            g = rng.standard_normal((rows, m))
+            if j0 == 0:
+                g[:, 0] *= first_scale
+            block, zi = lfilter([1.0], a, g, axis=1, zi=zi)
+            yield block
+
+    def prediction(self, f_class, alpha, f_sqrt_small=False):
+        return _predict_ark(self.p, f_class, alpha, f_sqrt_small)
+
 
 @_register
 @dataclass(frozen=True, eq=False)
-class ARkGen(KernelSpec):
+class ARkGen(_FirstInnovationScaled):
     """ARk with first innovation g[1]/a; kernel gains ((1-a^2)/a^2) phi phi^T."""
 
     p: np.ndarray
@@ -424,15 +783,33 @@ class ARkGen(KernelSpec):
     def _from_config(cls, doc):
         return cls(p=doc["p"], a_sq=doc["a_sq"])
 
-    @property
+    @cached_property
     def base(self):
         return ARk(self.p)
+
+    _first_scale = property(lambda self: 1.0 / np.sqrt(self.a_sq))
+    _weight = property(lambda self: (1.0 - self.a_sq) / self.a_sq)
+    _corner = property(lambda self: self.a_sq + np.sum(self.p**2))
+
+    def _response(self, n):
+        return phi_recursive(self.p, n).values
+
+    def admissibility(self):
+        ps = self.p.sum()
+        lower = 0.5 * (ps * (2.0 - ps) - np.sum(self.p**2))
+        return AdmissibilityDecision(
+            admissible=bool(self.a_sq >= lower),
+            key="shift-admissible-arkgen",
+            value=self.a_sq,
+            bound=(float(lower), np.inf),
+            detail=f"a^2 >= (sum(p)(2 - sum(p)) - sum(p^2))/2 = {lower:.6g}",
+        )
 
 
 @_register
 @dataclass(frozen=True, eq=False)
-class ShiftedScaled(KernelSpec):
-    """ScaledMinKernel on the shifted sequence s + Delta."""
+class ShiftedScaled(_Derived):
+    """ScaledMinKernel on the shifted sequence s + Delta, which is `base`."""
 
     s: np.ndarray
     b: np.ndarray
@@ -440,9 +817,9 @@ class ShiftedScaled(KernelSpec):
     family = "shifted_scaled"
 
     def __post_init__(self):
-        base = ScaledMinKernel(self.s, self.b)
-        object.__setattr__(self, "s", base.s)
-        object.__setattr__(self, "b", base.b)
+        unshifted = ScaledMinKernel(self.s, self.b)
+        object.__setattr__(self, "s", unshifted.s)
+        object.__setattr__(self, "b", unshifted.b)
         object.__setattr__(self, "Delta", float(self.Delta))
         if self.Delta <= -self.s[0]:
             raise IdentityError(
@@ -462,9 +839,23 @@ class ShiftedScaled(KernelSpec):
     def _from_config(cls, doc):
         return cls(s=doc["s"], b=doc["b"], Delta=doc["Delta"])
 
-    @property
+    @cached_property
     def base(self):
-        return ScaledMinKernel(self.s, self.b)
+        return ScaledMinKernel(self.s + self.Delta, self.b)
+
+    def admissibility(self):
+        b, s = self.b, self.s
+        if b.size >= 2 and not np.isclose(b[1], b[0]):
+            upper = (b[0] * s[1] - b[1] * s[0]) / (b[1] - b[0])
+        else:
+            upper = np.inf
+        return AdmissibilityDecision(
+            admissible=bool(-s[0] < self.Delta <= upper),
+            key="shift-admissible-scaled",
+            value=self.Delta,
+            bound=(-s[0], float(upper)),
+            detail=f"-s1 < Delta <= (b1 s2 - b2 s1)/(b2 - b1) = {upper:.6g}",
+        )
 
 
 @_register
@@ -502,6 +893,32 @@ class RankOneUpdate(KernelSpec):
             l=doc["l"],
             b=doc["b"],
         )
+
+    def window_entries(self, window):
+        # the update references absolute indices k, l; build the base on a
+        # window reaching all of them, apply the closed form, then slice
+        hi = max(window.l + window.n, self.k, self.l)
+        U = build_kernel(self.base, Window(0, hi)).entries
+        W = _sherman_morrison(U, self.k - 1, self.l - 1, self.b)
+        lo = window.l
+        return W[lo : lo + window.n, lo : lo + window.n]
+
+    def generator(self, size):
+        Q, band = self.base.generator(size)
+        if self.k > size or self.l > size:
+            raise ValueError("bump indices outside generator truncation")
+        Q[self.k - 1, self.l - 1] += self.b
+        return Q, max(band, abs(self.k - self.l))
+
+    def diagonal(self, n):
+        return np.diag(self.window_entries(Window(0, n))).copy()
+
+    def admissibility(self):
+        U = build_kernel(self.base, Window(0, max(self.k, self.l))).entries
+        return _rank_one_decision(self.b, U[self.l - 1, self.k - 1])
+
+    def prediction(self, f_class, alpha):
+        return NoTheorem("no stated limit theorem covers rank-one updates")
 
 
 @_register
@@ -543,110 +960,45 @@ class KilledWalk(KernelSpec):
         rates = {int(d): r for d, r in doc["step_rates"].items()}
         return cls(step_rates=rates, beta=doc["beta"], radius=doc["radius"])
 
+    def window_entries(self, window):
+        raise TypeError("KilledWalk lives on Z; use killed_walk_potential")
+
+    def generator(self, size):
+        # the whole truncated lattice, whatever the size asked for
+        G = _walk_generator(self)
+        band = max(abs(d) for d in self.step_rates)
+        return G - self.beta * np.eye(G.shape[0]), band
+
+    def diagonal(self, n):
+        raise TypeError("no diagonal closed form for KilledWalk")
+
+    def path_covariance(self, n):
+        entries = killed_walk_potential(self).kernel.entries
+        if n != entries.shape[0]:
+            raise ValueError(f"killed walk sampling needs n = {entries.shape[0]} sites")
+        return entries
+
+    def prediction(self, f_class, alpha):
+        if f_class != "zero":
+            return NoTheorem("the killed walk is covered for f = 0 only")
+        return _predict_killed_walk(killed_walk_potential(self).u00)
+
 
 # ---------------------------------------------------------------------------
-# kernel construction
+# kernels and generators of a spec
 # ---------------------------------------------------------------------------
-
-def _min_entries(s, window):
-    idx = np.arange(window.l, window.l + window.n)
-    if idx[-1] >= s.size:
-        raise ValueError("window extends past supplied s")
-    return s[np.minimum.outer(idx, idx)]
-
-
-def _ar1_entries(spec, window):
-    x = spec.x
-    hi = window.l + window.n
-    if hi > x.size + 1:
-        raise ValueError("window extends past supplied x")
-    d = spec.diagonal(hi)
-    # U[j,k] = U[j,j] prod(x[j..k-1]) for j <= k; the product is built from
-    # log sums so long windows underflow to 0 instead of degrading to NaN
-    lo = window.l
-    dj = d[lo:hi]
-    logt = np.zeros(hi)
-    logt[1:] = np.cumsum(np.log(x[: hi - 1]))
-    lt = logt[lo:hi]
-    decay = np.exp(-np.abs(np.subtract.outer(lt, lt)))
-    dmin = np.minimum.outer(dj, dj)
-    # the diagonal factor belongs to the smaller index of the pair
-    return dmin * decay
-
-
-def _ark_entries(p, window):
-    hi = window.l + window.n
-    ph = phi_recursive(p, hi).values
-    # V[m,n] = sum_{t=1..min(m,n)} phi[t] phi[t+|m-n|]; one cumulative sum per lag
-    out = np.empty((window.n, window.n))
-    for dlag in range(window.n):
-        csum = np.cumsum(ph[: hi - dlag] * ph[dlag:hi])
-        idx = np.arange(window.n - dlag)
-        out[idx, idx + dlag] = csum[window.l + idx]
-        out[idx + dlag, idx] = csum[window.l + idx]
-    return out
-
 
 def build_kernel(spec, window):
     """Dense kernel values of the family on the window."""
-    if isinstance(spec, MinKernel):
-        entries = _min_entries(spec.s, window)
-    elif isinstance(spec, ScaledMinKernel):
-        idx = np.arange(window.l, window.l + window.n)
-        if idx[-1] >= spec.b.size:
-            raise ValueError("window extends past supplied b")
-        b = spec.b[idx]
-        entries = _min_entries(spec.s, window) / np.outer(b, b)
-    elif isinstance(spec, ShiftedScaled):
-        idx = np.arange(window.l, window.l + window.n)
-        b = spec.b[idx]
-        entries = (_min_entries(spec.s, window) + spec.Delta) / np.outer(b, b)
-    elif isinstance(spec, ExpKernel):
-        idx = np.arange(window.l, window.l + window.n)
-        if idx[-1] >= spec.v.size:
-            raise ValueError("window extends past supplied v")
-        v = spec.v[idx]
-        entries = np.exp(-np.abs(np.subtract.outer(v, v)))
-    elif isinstance(spec, AR1):
-        entries = _ar1_entries(spec, window)
-    elif isinstance(spec, AR1Shifted):
-        decide_shift_admissible(spec, raise_on_fail=True)
-        entries = _ar1_entries(spec.base, window)
-        # t[j] = prod(x[:j-1]), the response of xi[j] to the first innovation
-        hi = window.l + window.n
-        tw = np.concatenate(([1.0], np.cumprod(spec.x[: hi - 1])))[window.l :]
-        entries = entries + (spec.delta_tilde**2 - 1.0) * np.outer(tw, tw)
-    elif isinstance(spec, ARk):
-        entries = _ark_entries(spec.p, window)
-    elif isinstance(spec, ARkGen):
-        decide_shift_admissible(spec, raise_on_fail=True)
-        entries = _ark_entries(spec.p, window)
-        hi = window.l + window.n
-        ph = phi_recursive(spec.p, hi).values[window.l :]
-        entries = entries + ((1.0 - spec.a_sq) / spec.a_sq) * np.outer(ph, ph)
-    elif isinstance(spec, RankOneUpdate):
-        entries = _rank_one_entries(spec, window)
-    elif isinstance(spec, KilledWalk):
-        raise TypeError("KilledWalk lives on Z; use killed_walk_potential")
-    else:
-        raise TypeError(f"unsupported spec type: {type(spec).__name__}")
-    return DenseKernelWindow(window=window, entries=entries, spec=spec)
+    spec.admissibility().require()
+    return DenseKernelWindow(
+        window=window, entries=spec.window_entries(window), spec=spec
+    )
 
 
-def _rank_one_entries(spec, window):
-    # the update references absolute indices k, l; build the base on a window
-    # reaching all of them, apply the closed form, then slice
-    hi = max(window.l + window.n, spec.k, spec.l)
-    U = build_kernel(spec.base, Window(0, hi)).entries
-    ki, li = spec.k - 1, spec.l - 1
-    if spec.b >= 1.0 / U[li, ki]:
-        raise IdentityError(
-            "rank-one-admissible",
-            f"b = {spec.b} must be < 1/U[l,k] = {1.0 / U[li, ki]}",
-        )
-    W = U + spec.b * np.outer(U[:, ki], U[li, :]) / (1.0 - spec.b * U[ki, li])
-    lo = window.l
-    return W[lo : lo + window.n, lo : lo + window.n]
+def _sherman_morrison(U, ki, li, b):
+    # kernel of Q + b E(k, l) from the kernel U of Q (0-based ki, li)
+    return U + b * np.outer(U[:, ki], U[li, :]) / (1.0 - b * U[ki, li])
 
 
 def rank_one_update(kernel, k, l, b):
@@ -660,44 +1012,11 @@ def rank_one_update(kernel, k, l, b):
     ki = int(np.searchsorted(labels, k))
     li = int(np.searchsorted(labels, l))
     U = kernel.entries
-    if b >= 1.0 / U[li, ki]:
-        raise IdentityError(
-            "rank-one-admissible",
-            f"b = {b} must be < 1/U[l,k] = {1.0 / U[li, ki]}",
-        )
-    W = U + b * np.outer(U[:, ki], U[li, :]) / (1.0 - b * U[ki, li])
+    _rank_one_decision(b, U[li, ki]).require()
     spec = RankOneUpdate(base=kernel.spec, k=int(k), l=int(l), b=float(b))
-    return DenseKernelWindow(window=kernel.window, entries=W, spec=spec)
-
-
-# ---------------------------------------------------------------------------
-# generators
-# ---------------------------------------------------------------------------
-
-def _min_increments(s, size):
-    # a[m] = 1/(s[m] - s[m-1]) with s[0] = 0, for m = 1..size+1 (1-based)
-    if s.size < size + 1:
-        raise ValueError("generator truncation needs len(s) >= size + 1")
-    gaps = np.empty(size + 1)
-    gaps[0] = s[0]
-    gaps[1:] = np.diff(s[: size + 1])
-    return 1.0 / gaps
-
-
-def _tridiag(diag, off):
-    n = diag.size
-    M = np.zeros((n, n))
-    M[np.arange(n), np.arange(n)] = diag
-    M[np.arange(n - 1), np.arange(1, n)] = off
-    M[np.arange(1, n), np.arange(n - 1)] = off
-    return M
-
-
-def _min_generator(s, size):
-    a = _min_increments(s, size)  # a[0] = 1/s1, a[m] = 1/(s_{m+1}-s_m)
-    diag = a[:size] + a[1 : size + 1]
-    off = -a[1:size]
-    return _tridiag(diag, off)
+    return DenseKernelWindow(
+        window=kernel.window, entries=_sherman_morrison(U, ki, li, b), spec=spec
+    )
 
 
 def build_generator(spec, size):
@@ -706,88 +1025,9 @@ def build_generator(spec, size):
     Entries are those of the infinite matrix, so the last ``band`` rows are
     boundary rows whose off-block entries are cut.
     """
-    if isinstance(spec, MinKernel):
-        return GeneratorMatrix(entries=-_min_generator(spec.s, size), band=1, spec=spec)
-    if isinstance(spec, (ScaledMinKernel, ShiftedScaled)):
-        s = spec.s if isinstance(spec, ScaledMinKernel) else spec.s + spec.Delta
-        if isinstance(spec, ShiftedScaled):
-            decide_shift_admissible(spec, raise_on_fail=True)
-        if spec.b.size < size:
-            raise ValueError("generator truncation needs len(b) >= size")
-        negQ = _min_generator(s, size)
-        b = spec.b[:size]
-        return GeneratorMatrix(entries=-(negQ * np.outer(b, b)), band=1, spec=spec)
-    if isinstance(spec, ExpKernel):
-        return GeneratorMatrix(entries=-_exp_generator(spec.v, size), band=1, spec=spec)
-    if isinstance(spec, AR1):
-        return GeneratorMatrix(entries=-_ar1_generator(spec.x, size), band=1, spec=spec)
-    if isinstance(spec, AR1Shifted):
-        decide_shift_admissible(spec, raise_on_fail=True)
-        negQ = _ar1_generator(spec.x, size)
-        negQ[0, 0] = 1.0 / spec.delta_tilde**2 + spec.x[0] ** 2
-        return GeneratorMatrix(entries=-negQ, band=1, spec=spec)
-    if isinstance(spec, ARk):
-        return GeneratorMatrix(entries=-_ark_generator(spec, size), band=spec.k, spec=spec)
-    if isinstance(spec, ARkGen):
-        decide_shift_admissible(spec, raise_on_fail=True)
-        A = _ark_generator(spec.base, size)
-        A[0, 0] = spec.a_sq + np.sum(spec.p**2)
-        return GeneratorMatrix(entries=-A, band=spec.base.k, spec=spec)
-    if isinstance(spec, RankOneUpdate):
-        base = build_generator(spec.base, size)
-        Q = base.entries.copy()
-        if spec.k > size or spec.l > size:
-            raise ValueError("bump indices outside generator truncation")
-        Q[spec.k - 1, spec.l - 1] += spec.b
-        return GeneratorMatrix(entries=Q, band=max(base.band, abs(spec.k - spec.l)), spec=spec)
-    if isinstance(spec, KilledWalk):
-        G = _walk_generator(spec)
-        return GeneratorMatrix(
-            entries=G - spec.beta * np.eye(G.shape[0]),
-            band=max(abs(d) for d in spec.step_rates),
-            spec=spec,
-        )
-    raise TypeError(f"no generator for spec type: {type(spec).__name__}")
-
-
-def _exp_generator(v, size):
-    # gap form of D_b Q(s) D_b with b = e^v, s = e^{2v}; stays finite for any v
-    if v.size < size + 1:
-        raise ValueError("generator truncation needs len(v) >= size + 1")
-    g = np.diff(v[: size + 1])
-    diag = np.empty(size)
-    diag[0] = 1.0 + 1.0 / np.expm1(2.0 * g[0])
-    if size > 1:
-        diag[1:] = 1.0 / -np.expm1(-2.0 * g[:-1]) + 1.0 / np.expm1(2.0 * g[1:])
-    off = -0.5 / np.sinh(g[:-1])
-    return _tridiag(diag, off)
-
-
-def _ar1_generator(x, size):
-    if x.size < size:
-        raise ValueError("generator truncation needs len(x) >= size")
-    diag = 1.0 + x[:size] ** 2
-    off = -x[: size - 1]
-    return _tridiag(diag, off)
-
-
-def _ark_generator(spec, size):
-    if not spec.p_non_increasing:
-        raise IdentityError(
-            "q-matrix-signs",
-            "ARk generator requires non-increasing p; increasing weights can "
-            "flip off-diagonal signs",
-        )
-    p = spec.p
-    k = spec.k
-    A = np.zeros((size, size))
-    np.fill_diagonal(A, 1.0 + np.sum(p**2))
-    for d in range(1, min(k, size - 1) + 1):
-        val = -p[d - 1] + np.dot(p[: k - d], p[d:k])
-        idx = np.arange(size - d)
-        A[idx, idx + d] = val
-        A[idx + d, idx] = val
-    return A
+    spec.admissibility().require()
+    entries, band = spec.generator(size)
+    return GeneratorMatrix(entries=entries, band=band, spec=spec)
 
 
 def ark_band_factor(spec, size):
@@ -1043,68 +1283,35 @@ class AdmissibilityDecision:
     bound: tuple      # (lower, upper); None for an unconstrained side
     detail: str
 
+    def require(self):
+        """Raise the decision's IdentityError unless the spec is admissible."""
+        if not self.admissible:
+            raise IdentityError(self.key, self.detail + f" (got {self.value:.6g})")
+
+
+_NO_CONSTRAINT = AdmissibilityDecision(
+    admissible=True, key="derived", value=0.0, bound=(-np.inf, np.inf),
+    detail="family carries no shift constraint",
+)
+
+
+def _rank_one_decision(b, u_lk):
+    # Q + b E(k, l) keeps a kernel while b < 1/U[l,k]
+    upper = 1.0 / u_lk
+    return AdmissibilityDecision(
+        admissible=bool(b < upper),
+        key="rank-one-admissible",
+        value=b,
+        bound=(-np.inf, float(upper)),
+        detail=f"b < 1/U[l,k] = {upper:.6g}",
+    )
+
 
 def decide_shift_admissible(spec, raise_on_fail=False):
     """Admissibility decision for shifted and generalized families."""
-    if isinstance(spec, ShiftedScaled):
-        b, s = spec.b, spec.s
-        if b.size >= 2 and not np.isclose(b[1], b[0]):
-            upper = (b[0] * s[1] - b[1] * s[0]) / (b[1] - b[0])
-        else:
-            upper = np.inf
-        ok = -s[0] < spec.Delta <= upper
-        decision = AdmissibilityDecision(
-            admissible=bool(ok),
-            key="shift-admissible-scaled",
-            value=spec.Delta,
-            bound=(-s[0], float(upper)),
-            detail=f"-s1 < Delta <= (b1 s2 - b2 s1)/(b2 - b1) = {upper:.6g}",
-        )
-    elif isinstance(spec, AR1Shifted):
-        x1 = spec.x[0]
-        upper = np.inf if x1 >= 1.0 else 1.0 / (x1 * (1.0 - x1))
-        val = spec.delta_tilde**2
-        ok = 0.0 < val <= upper
-        decision = AdmissibilityDecision(
-            admissible=bool(ok),
-            key="shift-admissible-ar1",
-            value=val,
-            bound=(0.0, float(upper)),
-            detail=f"0 < delta_tilde^2 <= 1/(x1 (1 - x1)) = {upper:.6g}",
-        )
-    elif isinstance(spec, ARkGen):
-        ps = spec.p.sum()
-        lower = 0.5 * (ps * (2.0 - ps) - np.sum(spec.p**2))
-        ok = spec.a_sq >= lower
-        decision = AdmissibilityDecision(
-            admissible=bool(ok),
-            key="shift-admissible-arkgen",
-            value=spec.a_sq,
-            bound=(float(lower), np.inf),
-            detail=f"a^2 >= (sum(p)(2 - sum(p)) - sum(p^2))/2 = {lower:.6g}",
-        )
-    elif isinstance(spec, RankOneUpdate):
-        hi = max(spec.k, spec.l) + 1
-        U = build_kernel(spec.base, Window(0, hi)).entries
-        upper = 1.0 / U[spec.l - 1, spec.k - 1]
-        ok = spec.b < upper
-        decision = AdmissibilityDecision(
-            admissible=bool(ok),
-            key="rank-one-admissible",
-            value=spec.b,
-            bound=(-np.inf, float(upper)),
-            detail=f"b < 1/U[l,k] = {upper:.6g}",
-        )
-    else:
-        decision = AdmissibilityDecision(
-            admissible=True,
-            key="derived",
-            value=0.0,
-            bound=(-np.inf, np.inf),
-            detail="family carries no shift constraint",
-        )
-    if raise_on_fail and not decision.admissible:
-        raise IdentityError(decision.key, decision.detail + f" (got {decision.value:.6g})")
+    decision = spec.admissibility()
+    if raise_on_fail:
+        decision.require()
     return decision
 
 

@@ -18,29 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.signal import lfilter
 from scipy.special import betainc, gammainc
 
-from .argen import phi_recursive
 from .identities import IdentityError
-from .kernels import (
-    AR1,
-    AR1Shifted,
-    ARk,
-    ARkGen,
-    ExpKernel,
-    KilledWalk,
-    MinKernel,
-    RankOneUpdate,
-    ScaledMinKernel,
-    ShiftedScaled,
-    Window,
-    _one_pole,
-    _steady,
-    build_kernel,
-    decide_shift_admissible,
-    killed_walk_potential,
-)
+from .kernels import ExpKernel, Window, build_kernel
 from .normalizers import koval
 from .symmetrize import analyze, extend, sandwich_factor
 
@@ -54,128 +35,18 @@ def _trial_rng(seed, trial):
     )
 
 
-def _chunks(n_max, chunk):
-    j = 0
-    while j < n_max:
-        m = min(chunk, n_max - j)
-        yield j, m
-        j += m
-
-
 def _chunk_size(rows):
     return int(max(256, min(1 << 16, (1 << 22) // max(rows, 1))))
 
 
-def _part(c, j0, m):
-    return c if np.ndim(c) == 0 else c[j0 : j0 + m]
-
-
-def _stream_one_pole(a, scale, y0, rng, rows, n_max, chunk, first_scale=1.0):
-    # y[j] = a[j] y[j-1] + scale[j] g[j] from y[-1] = y0, with a and scale
-    # scalars or per-index arrays; the first innovation is scaled
-    for j0, m in _chunks(n_max, chunk):
-        g = rng.standard_normal((rows, m))
-        if j0 == 0:
-            g[:, 0] *= first_scale
-        g *= _part(scale, j0, m)           # in place: rows x m can be large
-        block = _one_pole(_part(a, j0, m), g, y0)
-        y0 = block[:, -1].copy()
-        yield block
-
-
-def _stream_min(s, b, Delta, rng, rows, n_max, chunk):
-    s = np.asarray(s, dtype=float)
-    if s.size < n_max:
-        raise ValueError("stored s shorter than the requested length")
-    shifted = s[:n_max] + Delta
-    inc = np.sqrt(np.diff(np.concatenate(([0.0], shifted))))
-    stream = _stream_one_pole(1.0, inc, np.zeros(rows), rng, rows, n_max, chunk)
-    for j0, block in zip(range(0, n_max, chunk), stream):
-        yield block if b is None else block / b[j0 : j0 + block.shape[1]]
-
-
-def _stream_exp(v, rng, rows, n_max, chunk):
-    v = np.asarray(v, dtype=float)
-    if v.size < n_max:
-        raise ValueError("stored v shorter than the requested length")
-    v = v[:n_max]
-    gaps = np.diff(v)
-    gap = _steady(gaps, np.abs(v).max()) if gaps.size else np.inf
-    state = rng.standard_normal(rows)      # stationary start, unit variance
-    if np.ndim(gap) == 0:
-        # even grid: the path starts one gap after the stationary draw
-        a = float(np.exp(-gap))
-    else:
-        # uneven grid: the path starts at the stationary draw
-        a = np.exp(-np.concatenate(([0.0], gap)))
-    yield from _stream_one_pole(
-        a, np.sqrt(1.0 - a * a), state, rng, rows, n_max, chunk
-    )
-
-
-def _stream_ar1(x, first_scale, rng, rows, n_max, chunk):
-    # xi[1] = first_scale g[1], xi[n] = x[n-1] xi[n-1] + g[n]
-    x = np.asarray(x, dtype=float)
-    if x.size < n_max - 1:
-        raise ValueError("stored x shorter than the requested length")
-    a = _steady(x[: n_max - 1])
-    if np.ndim(a):
-        a = np.concatenate((a[:1], a))     # a[0] meets y[-1] = 0
-    yield from _stream_one_pole(
-        a, 1.0, np.zeros(rows), rng, rows, n_max, chunk, first_scale
-    )
-
-
-def _stream_ar(coeffs, first_scale, rng, rows, n_max, chunk):
-    # y[n] = sum coeffs[l] y[n-l] + g[n] with empty history; y[1] scaled
-    a = np.concatenate(([1.0], -np.asarray(coeffs, dtype=float)))
-    zi = np.zeros((rows, a.size - 1))
-    for j0, m in _chunks(n_max, chunk):
-        g = rng.standard_normal((rows, m))
-        if j0 == 0:
-            g[:, 0] *= first_scale
-        block, zi = lfilter([1.0], a, g, axis=1, zi=zi)
-        yield block
-
-
 def _path_stream(spec, n_max, rng, rows, chunk=None):
     """Chunked zero-mean Gaussian paths with the kernel as covariance."""
-    chunk = chunk or _chunk_size(rows)
-    if isinstance(spec, MinKernel):
-        return _stream_min(spec.s, None, 0.0, rng, rows, n_max, chunk)
-    if isinstance(spec, ShiftedScaled):
-        b = np.asarray(spec.b, dtype=float)[:n_max]
-        return _stream_min(spec.s, b, spec.Delta, rng, rows, n_max, chunk)
-    if isinstance(spec, ScaledMinKernel):
-        b = np.asarray(spec.b, dtype=float)[:n_max]
-        return _stream_min(spec.s, b, 0.0, rng, rows, n_max, chunk)
-    if isinstance(spec, ExpKernel):
-        return _stream_exp(spec.v, rng, rows, n_max, chunk)
-    if isinstance(spec, AR1Shifted):
-        decide_shift_admissible(spec, raise_on_fail=True)
-        return _stream_ar1(spec.x, spec.delta_tilde, rng, rows, n_max, chunk)
-    if isinstance(spec, AR1):
-        return _stream_ar1(spec.x, 1.0, rng, rows, n_max, chunk)
-    if isinstance(spec, ARkGen):
-        decide_shift_admissible(spec, raise_on_fail=True)
-        return _stream_ar(
-            spec.p, 1.0 / np.sqrt(spec.a_sq), rng, rows, n_max, chunk
-        )
-    if isinstance(spec, ARk):
-        return _stream_ar(spec.p, 1.0, rng, rows, n_max, chunk)
-    return None
+    spec.admissibility().require()
+    return spec.path_stream(n_max, rng, rows, chunk or _chunk_size(rows))
 
 
 def _dense_paths(spec, n, rng, rows):
-    if isinstance(spec, KilledWalk):
-        result = killed_walk_potential(spec)
-        entries = np.asarray(result.kernel.entries, dtype=float)
-        if n != entries.shape[0]:
-            raise ValueError(
-                f"killed walk sampling needs n = {entries.shape[0]} sites"
-            )
-    else:
-        entries = np.asarray(build_kernel(spec, Window(0, n)).entries, dtype=float)
+    entries = np.asarray(spec.path_covariance(n), dtype=float)
     if np.abs(entries - entries.T).max() > 1e-10 * max(1.0, np.abs(entries).max()):
         raise ValueError("sample_gaussian needs a symmetric kernel family")
     jitter = 0.0
@@ -202,34 +73,8 @@ def _gaussian_paths(spec, n_max, rng, rows):
 
 def kernel_diagonal(spec, n):
     """U[j,j] for j = 1..n through the per-family closed forms."""
-    if isinstance(spec, MinKernel):
-        return np.asarray(spec.s, dtype=float)[:n].copy()
-    if isinstance(spec, ShiftedScaled):
-        s = np.asarray(spec.s, dtype=float)[:n]
-        b = np.asarray(spec.b, dtype=float)[:n]
-        return (s + spec.Delta) / b**2
-    if isinstance(spec, ScaledMinKernel):
-        s = np.asarray(spec.s, dtype=float)[:n]
-        b = np.asarray(spec.b, dtype=float)[:n]
-        return s / b**2
-    if isinstance(spec, ExpKernel):
-        return np.ones(n)
-    if isinstance(spec, AR1Shifted):
-        base = kernel_diagonal(spec.base, n)
-        x = np.asarray(spec.x, dtype=float)
-        t = np.concatenate(([1.0], np.cumprod(x[: n - 1])))
-        return base + (spec.delta_tilde**2 - 1.0) * t**2
-    if isinstance(spec, AR1):
-        return spec.diagonal(n)
-    if isinstance(spec, ARkGen):
-        ph = phi_recursive(spec.p, n).values
-        base = np.cumsum(ph**2)
-        return base + (1.0 - spec.a_sq) / spec.a_sq * ph**2
-    if isinstance(spec, ARk):
-        return np.cumsum(phi_recursive(spec.p, n).values ** 2)
-    if isinstance(spec, RankOneUpdate):
-        return np.diag(build_kernel(spec, Window(0, n)).entries).copy()
-    raise TypeError(f"no diagonal closed form for {type(spec).__name__}")
+    spec.admissibility().require()
+    return spec.diagonal(n)
 
 
 @dataclass(frozen=True)

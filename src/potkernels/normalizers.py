@@ -17,19 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .identities import IdentityError
-from .kernels import (
-    AR1,
-    AR1Shifted,
-    ARk,
-    ARkGen,
-    ExpKernel,
-    KilledWalk,
-    MinKernel,
-    RankOneUpdate,
-    ScaledMinKernel,
-    ShiftedScaled,
-    killed_walk_potential,
-)
 from .argen import c_star, phi_recursive
 
 GEOMETRIC_MARGIN = np.log(1.05)
@@ -196,6 +183,10 @@ def _scalar_like(j, out):
     return float(out) if np.isscalar(j) else out
 
 
+def _log_j(j):
+    return _scalar_like(j, np.log(_as_index(j)))
+
+
 def _growth_normalizer(logs, diag, diag_label):
     capped = np.concatenate(([np.nan], np.cumsum(np.minimum(1.0, np.diff(logs)))))
 
@@ -243,7 +234,8 @@ def _predict_min_like(logs, diag, diag_label, family, f_class, growth):
     raise ValueError("growth must be None, 'geometric', or 'bounded-ratio'")
 
 
-def _predict_ar1(spec, f_class, alpha, x_limit, reg_var_index, rate_limit, rate_index):
+def _predict_ar1(spec, f_class, alpha, x_limit=None, reg_var_index=None,
+                 rate_limit=None, rate_index=None):
     stated = [h for h in (x_limit, reg_var_index, rate_limit, rate_index) if h is not None]
     if len(stated) == 0:
         return NoTheorem(
@@ -284,13 +276,8 @@ def _predict_ar1(spec, f_class, alpha, x_limit, reg_var_index, rate_limit, rate_
             )
         if f_class not in ("zero", "c0"):
             return NoTheorem("the subcritical chain needs f = 0 or f vanishing at infinity")
-
-        def normalizer(j):
-            jj = _as_index(j)
-            return _scalar_like(j, np.log(jj))
-
         return _tagged(
-            normalizer, "log(j)", 1.0 / (1.0 - x_limit**2), "ar1-subcritical"
+            _log_j, "log(j)", 1.0 / (1.0 - x_limit**2), "ar1-subcritical"
         )
 
     if f_class not in ("zero", "potential-l1"):
@@ -336,16 +323,10 @@ def _predict_ar1(spec, f_class, alpha, x_limit, reg_var_index, rate_limit, rate_
 
 
 def _predict_ark(p, f_class, alpha, f_sqrt_small):
-    p = np.asarray(p, dtype=float)
     if abs(p.sum() - 1.0) > 1e-12:
         if f_class not in ("zero", "c0", "potential-l1"):
             raise ValueError(f"unknown f_class {f_class!r}")
-
-        def normalizer(j):
-            jj = _as_index(j)
-            return _scalar_like(j, np.log(jj))
-
-        return _tagged(normalizer, "log(j)", c_star(p).value, "ark-transient")
+        return _tagged(_log_j, "log(j)", c_star(p).value, "ark-transient")
 
     if f_class not in ("zero", "potential-l1"):
         return NoTheorem(
@@ -367,6 +348,39 @@ def _predict_ark(p, f_class, alpha, f_sqrt_small):
     return _tagged(normalizer, "j * loglog(j)", c1**2, "ark-unit-drift", validity)
 
 
+def _predict_exp(v, f_class, growth, gaps):
+    if gaps is None:
+        return _predict_min_like(
+            2.0 * v, lambda jj: np.ones(np.shape(jj)), "1", "exp", f_class, growth
+        )
+    if growth is not None:
+        raise ValueError("exp kernels read growth only when no gaps are declared")
+    if gaps == "bounded":
+        if f_class not in ("zero", "potential-l1"):
+            return NoTheorem(
+                "bounded gaps need f = 0 or f built from a summable density"
+            )
+
+        def normalizer(j):
+            jj = _as_index(j)
+            if np.any(jj > v.size):
+                raise ValueError("j beyond stored sequence length")
+            return _scalar_like(j, np.log(v[jj - 1]))
+
+        return _tagged(normalizer, "log(v[j])", 1.0, "exp-bounded-gaps")
+    if gaps == "separated":
+        if f_class not in ("zero", "c0"):
+            return NoTheorem(
+                "separated gaps need f = 0 or f vanishing at infinity"
+            )
+        return _tagged(_log_j, "log(j)", 1.0, "exp-separated-gaps")
+    raise ValueError("gaps must be None, 'bounded', or 'separated'")
+
+
+def _predict_killed_walk(u00):
+    return _tagged(_log_j, "log(n)", u00, "killed-walk")
+
+
 def predict(
     spec,
     f_class,
@@ -385,94 +399,24 @@ def predict(
     Returns a Prediction, or a NoTheorem outcome when nothing covers the
     configuration. Limit hypotheses (growth / gaps / x_limit / reg_var_index
     / rate_limit / rate_index / f_sqrt_small) are taken as stated, never
-    checked against the stored finite prefix.
+    checked against the stored finite prefix. A hypothesis that the family
+    does not read (`spec.hypotheses`) is refused with ValueError, as is an
+    inadmissible spec with its IdentityError.
     """
     if f_class not in F_CLASSES:
         raise ValueError(f"f_class must be one of {F_CLASSES}")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-
-    if isinstance(spec, ShiftedScaled):
-        base = ScaledMinKernel(s=np.asarray(spec.s) + spec.Delta, b=spec.b)
-        return predict(base, f_class, alpha, growth=growth)
-    if isinstance(spec, AR1Shifted):
-        return predict(
-            spec.base,
-            f_class,
-            alpha,
-            x_limit=x_limit,
-            reg_var_index=reg_var_index,
-            rate_limit=rate_limit,
-            rate_index=rate_index,
+    stated = dict(
+        growth=growth, gaps=gaps, x_limit=x_limit, reg_var_index=reg_var_index,
+        rate_limit=rate_limit, rate_index=rate_index,
+        f_sqrt_small=f_sqrt_small or None,    # False is not a declaration
+    )
+    declared = {name: value for name, value in stated.items() if value is not None}
+    spec.admissibility().require()
+    unread = [name for name in declared if name not in spec.hypotheses]
+    if unread:
+        raise ValueError(
+            f"{spec.family} kernels do not read the hypotheses {unread}"
         )
-    if isinstance(spec, ARkGen):
-        return predict(spec.base, f_class, alpha, f_sqrt_small=f_sqrt_small)
-
-    if isinstance(spec, MinKernel):
-        s = np.asarray(spec.s, dtype=float)
-        logs = np.log(s)
-        return _predict_min_like(
-            logs, lambda jj: s[jj - 1], "s[j]", "min", f_class, growth
-        )
-    if isinstance(spec, ScaledMinKernel):
-        s = np.asarray(spec.s, dtype=float)
-        b = np.asarray(spec.b, dtype=float)
-        logs = np.log(s)
-        return _predict_min_like(
-            logs,
-            lambda jj: s[jj - 1] / b[jj - 1] ** 2,
-            "W[j,j]",
-            "scaled-min",
-            f_class,
-            growth,
-        )
-    if isinstance(spec, ExpKernel):
-        v = np.asarray(spec.v, dtype=float)
-        if gaps is None:
-            return _predict_min_like(
-                2.0 * v, lambda jj: np.ones(np.shape(jj)), "1", "exp", f_class, growth
-            )
-        if gaps == "bounded":
-            if f_class not in ("zero", "potential-l1"):
-                return NoTheorem(
-                    "bounded gaps need f = 0 or f built from a summable density"
-                )
-
-            def normalizer(j):
-                jj = _as_index(j)
-                if np.any(jj > v.size):
-                    raise ValueError("j beyond stored sequence length")
-                return _scalar_like(j, np.log(v[jj - 1]))
-
-            return _tagged(normalizer, "log(v[j])", 1.0, "exp-bounded-gaps")
-        if gaps == "separated":
-            if f_class not in ("zero", "c0"):
-                return NoTheorem(
-                    "separated gaps need f = 0 or f vanishing at infinity"
-                )
-
-            def normalizer(j):
-                jj = _as_index(j)
-                return _scalar_like(j, np.log(jj))
-
-            return _tagged(normalizer, "log(j)", 1.0, "exp-separated-gaps")
-        raise ValueError("gaps must be None, 'bounded', or 'separated'")
-    if isinstance(spec, AR1):
-        return _predict_ar1(
-            spec, f_class, alpha, x_limit, reg_var_index, rate_limit, rate_index
-        )
-    if isinstance(spec, ARk):
-        return _predict_ark(spec.p, f_class, alpha, f_sqrt_small)
-    if isinstance(spec, KilledWalk):
-        if f_class != "zero":
-            return NoTheorem("the killed walk is covered for f = 0 only")
-        u00 = killed_walk_potential(spec).u00
-
-        def normalizer(j):
-            jj = _as_index(j)
-            return _scalar_like(j, np.log(jj))
-
-        return _tagged(normalizer, "log(n)", u00, "killed-walk")
-    if isinstance(spec, RankOneUpdate):
-        return NoTheorem("no stated limit theorem covers rank-one updates")
-    raise TypeError(f"unknown kernel family {type(spec).__name__}")
+    return spec.prediction(f_class, alpha, **declared)

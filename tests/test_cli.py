@@ -200,6 +200,16 @@ class TestPredict:
         assert doc["prediction"]["outcome"] == "no-theorem"
         assert doc["prediction"]["reason"]
 
+    def test_unread_hypothesis_exits_two(self, tmp_path, capsys):
+        cfg = {
+            "command": "predict",
+            "spec": min_spec(30),
+            "hypotheses": {"f_class": "zero", "alpha": 0.5, "gaps": "bounded"},
+        }
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert "gaps" in capsys.readouterr().err
+
     def test_unknown_hypothesis_field_exits_two(self, tmp_path, capsys):
         cfg = {
             "command": "predict",

@@ -25,9 +25,12 @@ from potkernels import (
     check_q_matrix,
     decay_envelope,
     decide_shift_admissible,
+    kernel_diagonal,
     killed_walk_potential,
     phi_recursive,
+    predict,
     rank_one_update,
+    sample_gaussian,
     verify_duality,
     window_inverse,
 )
@@ -195,6 +198,37 @@ class TestShiftAdmissibility:
         assert decide_shift_admissible(ARkGen(p=(0.5, 0.25), a_sq=0.4)).admissible
         assert not decide_shift_admissible(ARkGen(p=(0.5, 0.25), a_sq=0.3)).admissible
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda spec: build_kernel(spec, Window(0, 8)),
+            lambda spec: build_generator(spec, 8),
+            lambda spec: kernel_diagonal(spec, 8),
+            lambda spec: sample_gaussian(spec, 8, seed=1, trials=2),
+            lambda spec: predict(spec, "zero", 0.5),
+        ],
+        ids=["build_kernel", "build_generator", "kernel_diagonal",
+             "sample_gaussian", "predict"],
+    )
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            # upper bound (b1 s2 - b2 s1)/(b2 - b1) = 47 < Delta
+            (ShiftedScaled(s=np.arange(1.0, 50.0), b=np.linspace(1.0, 2.0, 49),
+                           Delta=50.0), "shift-admissible-scaled"),
+            # delta^2 = 6.25 > 1/(x1 (1 - x1)) = 4
+            (AR1Shifted(x=np.full(9, 0.5), delta_tilde=2.5), "shift-admissible-ar1"),
+            # a^2 = 0.3 < 5/16
+            (ARkGen(p=(0.5, 0.25), a_sq=0.3), "shift-admissible-arkgen"),
+        ],
+        ids=["shifted_scaled", "ar1_shifted", "ark_gen"],
+    )
+    def test_every_entry_point_refuses_inadmissible(self, spec, key, entry):
+        assert not decide_shift_admissible(spec).admissible
+        with pytest.raises(IdentityError) as info:
+            entry(spec)
+        assert info.value.key == key
+
 
 class TestARkGen:
     def test_covariance_decomposition(self):
@@ -293,6 +327,48 @@ class TestDecayEnvelope:
         assert C > 0
         assert lam > 0
         assert monotone
+
+
+class TestSpecEquality:
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (MinKernel(s=[1, 2, 3]), MinKernel(s=np.arange(1.0, 4.0))),
+            (MinKernel(s=[1.0, 2.0, 3.0]),
+             KernelSpec.from_config({"family": "min", "s": [1, 2, 3]})),
+            (ExpKernel(v=[-0.0, 1.0]), ExpKernel(v=[0.0, 1.0])),
+            (ARkGen(p=(0.5, 0.25), a_sq=0.5), ARkGen(p=np.array([0.5, 0.25]), a_sq=1 / 2)),
+            (RankOneUpdate(base=MinKernel(s=[1.0, 2.0, 3.0]), k=1, l=3, b=0.25),
+             RankOneUpdate(base=MinKernel(s=(1, 2, 3)), k=np.int64(1), l=3.0, b=np.float64(0.25))),
+            (KilledWalk(step_rates={-1: 0.5, 1: 0.5}, beta=1.0, radius=10),
+             KilledWalk(step_rates={"1": 0.5, "-1": 0.5}, beta=1, radius=10)),
+        ],
+        ids=["list-vs-array", "config", "signed-zero", "ark_gen", "rank-one-nested",
+             "killed-walk"],
+    )
+    def test_equal_specs_hash_equal(self, a, b):
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (MinKernel(s=[1.0, 2.0, 3.0]), ExpKernel(v=[1.0, 2.0, 3.0])),
+            (MinKernel(s=[1.0, 2.0, 3.0]), MinKernel(s=[1.0, 2.0, 4.0])),
+            (MinKernel(s=[1.0, 2.0, 3.0]), MinKernel(s=[1.0, 2.0])),
+            (ScaledMinKernel(s=[1.0, 2.0], b=[1.0, 1.0]),
+             ShiftedScaled(s=[1.0, 2.0], b=[1.0, 1.0], Delta=0.0)),
+            (RankOneUpdate(base=MinKernel(s=[1.0, 2.0, 3.0]), k=1, l=3, b=0.25),
+             RankOneUpdate(base=MinKernel(s=[1.0, 2.0, 5.0]), k=1, l=3, b=0.25)),
+            (KilledWalk(step_rates={-1: 0.5, 1: 0.5}, beta=1.0, radius=10),
+             KilledWalk(step_rates={-1: 0.5, 1: 0.25}, beta=1.0, radius=10)),
+        ],
+        ids=["family", "array-value", "array-length", "shifted-vs-scaled",
+             "rank-one-base", "killed-walk-rates"],
+    )
+    def test_different_specs_are_unequal(self, a, b):
+        assert a != b
 
 
 class TestConfigRoundTrip:

@@ -57,8 +57,15 @@ class TestGaussianSampler:
                 x=np.sort(np.random.default_rng(2).uniform(0.3, 0.9, 7)),
                 delta_tilde=1.5,
             ),
+            ScaledMinKernel(s=np.arange(1.0, 9.0), b=np.exp(0.1 * np.arange(8))),
+            ShiftedScaled(
+                s=np.arange(1.0, 9.0), b=np.exp(0.1 * np.arange(8)), Delta=0.5
+            ),
+            ARk(p=(0.5, 0.25)),
+            ARkGen(p=(0.5, 0.25), a_sq=0.4),
         ],
-        ids=["min", "exp-varying", "ar1", "ar1-varying", "ar1-shifted"],
+        ids=["min", "exp-varying", "ar1", "ar1-varying", "ar1-shifted",
+             "scaled_min", "shifted_scaled", "ark", "ark_gen"],
     )
     def test_exact_covariance(self, spec):
         z = covariance_zscores(spec, 8, seed=3, trials=40_000)

@@ -179,6 +179,36 @@ class TestPredictOther:
         spec = RankOneUpdate(base=ExpKernel(v=np.arange(6.0)), k=1, l=2, b=0.5)
         assert isinstance(predict(spec, "zero", 0.5), NoTheorem)
 
+    @pytest.mark.parametrize(
+        "spec, hypotheses",
+        [
+            (MinKernel(s=np.arange(1.0, 40.0)), {"gaps": "bounded"}),
+            (ShiftedScaled(s=np.arange(1.0, 40.0), b=np.ones(39), Delta=1.0),
+             {"x_limit": 0.5}),
+            (ShiftedScaled(s=np.arange(1.0, 40.0), b=np.ones(39), Delta=1.0),
+             {"f_sqrt_small": True}),
+            (ExpKernel(v=np.arange(10.0)), {"growth": "geometric", "gaps": "separated"}),
+            (AR1Shifted(x=np.full(9, 0.5), delta_tilde=1.5),
+             {"x_limit": 0.5, "growth": "geometric"}),
+            (ARkGen(p=(0.5, 0.25), a_sq=0.4), {"x_limit": 0.5}),
+            (KilledWalk(step_rates={-1: 0.5, 1: 0.5}, beta=1.0, radius=20),
+             {"growth": "geometric"}),
+            (RankOneUpdate(base=ExpKernel(v=np.arange(6.0)), k=1, l=2, b=0.5),
+             {"gaps": "separated"}),
+        ],
+        ids=["min-gaps", "shifted_scaled-x_limit", "shifted_scaled-f_sqrt_small",
+             "exp-growth-and-gaps", "ar1_shifted-growth", "ark_gen-x_limit",
+             "killed_walk-growth", "rank_one-gaps"],
+    )
+    def test_unread_hypothesis_is_refused(self, spec, hypotheses):
+        with pytest.raises(ValueError):
+            predict(spec, "zero", 0.5, **hypotheses)
+
+    def test_default_hypotheses_are_not_declarations(self):
+        pred = predict(ARkGen(p=(0.5, 0.25), a_sq=0.4), "zero", 0.5,
+                       growth=None, f_sqrt_small=False)
+        assert pred.theorem == "ark-transient"
+
     def test_rejects_unknown_f_class(self):
         with pytest.raises(ValueError):
             predict(MinKernel(s=[1.0, 2.0, 3.0]), "bounded", 0.5)
