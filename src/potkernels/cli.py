@@ -292,7 +292,7 @@ def _run_invert(cfg, seed, outdir, quiet, written):
     _emit(
         outdir,
         "inverse.csv",
-        lambda p: write_matrix_csv(p, inv, labels, labels),
+        lambda p: write_matrix_csv(p, inv, labels, labels, ("i", "j", "value")),
         written,
         quiet,
     )
@@ -313,24 +313,16 @@ def _run_phi(cfg, seed, outdir, quiet, written):
     seq = phi_recursive(p, n_terms)
     closed = phi_closed(p, n_terms)
     gap = float(np.abs(seq.values - closed.values).max())
-    labels = np.arange(1, n_terms + 1)
+    header, columns = ("index", "phi"), [np.arange(1, n_terms + 1), seq.values]
     if seq.psi is not None:
-        rows = zip(labels, seq.values, seq.psi)
-        _emit(
-            outdir,
-            "phi.csv",
-            lambda p_: write_table_csv(p_, ("index", "phi", "psi"), rows),
-            written,
-            quiet,
-        )
-    else:
-        _emit(
-            outdir,
-            "phi.csv",
-            lambda p_: write_sequence_csv(p_, labels, seq.values, "phi"),
-            written,
-            quiet,
-        )
+        header, columns = header + ("psi",), columns + [seq.psi]
+    _emit(
+        outdir,
+        "phi.csv",
+        lambda p_: write_table_csv(p_, header, columns),
+        written,
+        quiet,
+    )
     doc = {
         "command": "phi",
         "n_terms": n_terms,
@@ -392,26 +384,24 @@ def _run_simulate(cfg, seed, outdir, quiet, written):
     batch = sample_permanental(spec, fw, k_half, n, seed, trials=trials, l=l)
 
     labels = window.labels
-    rows = (
-        (t + 1, int(labels[j]), float(batch.values[t, j]))
-        for t in range(trials)
-        for j in range(n)
-    )
     _emit(
         outdir,
         "samples.csv",
-        lambda p_: write_table_csv(p_, ("trial", "index", "value"), rows),
+        lambda p_: write_matrix_csv(
+            p_, batch.values, range(1, trials + 1), labels, ("trial", "index", "value")
+        ),
         written,
         quiet,
     )
     expected = batch.alpha * (kernel_diagonal(spec, l + n)[l:] + batch.a_vec**2)
     observed = batch.values.mean(axis=0)
-    mrows = zip(labels, observed, expected)
     _emit(
         outdir,
         "marginals.csv",
         lambda p_: write_table_csv(
-            p_, ("index", "observed_mean", "expected_mean"), mrows
+            p_,
+            ("index", "observed_mean", "expected_mean"),
+            (labels, observed, expected),
         ),
         written,
         quiet,
@@ -489,11 +479,11 @@ def _run_limsup(cfg, seed, outdir, quiet, written):
                 "low": _q(lo, "trend-band"),
                 "high": _q(hi, "trend-band"),
             }
-    rows = zip(report.checkpoints, report.median, report.q25, report.q75)
+    columns = (report.checkpoints, report.median, report.q25, report.q75)
     _emit(
         outdir,
         "trend.csv",
-        lambda p_: write_table_csv(p_, ("checkpoint", "median", "q25", "q75"), rows),
+        lambda p_: write_table_csv(p_, ("checkpoint", "median", "q25", "q75"), columns),
         written,
         quiet,
     )

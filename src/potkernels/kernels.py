@@ -384,11 +384,16 @@ def _tridiag(diag, off):
     return M
 
 
+def _stored(values, n, name):
+    """The first n stored values; a longer request is refused, not truncated."""
+    if values.size < n:
+        raise ValueError(f"stored {name} shorter than the requested length")
+    return values[:n]
+
+
 def _stream_min(s, b, rng, rows, n_max, chunk):
     # independent increments of variance s[j] - s[j-1], divided by b if given
-    if s.size < n_max:
-        raise ValueError("stored s shorter than the requested length")
-    inc = np.sqrt(np.diff(np.concatenate(([0.0], s[:n_max]))))
+    inc = np.sqrt(np.diff(np.concatenate(([0.0], _stored(s, n_max, "s")))))
     stream = _stream_one_pole(1.0, inc, np.zeros(rows), rng, rows, n_max, chunk)
     for j0, block in zip(range(0, n_max, chunk), stream):
         yield block if b is None else block / b[j0 : j0 + block.shape[1]]
@@ -421,7 +426,7 @@ class MinKernel(KernelSpec):
         return -_min_generator(self.s, size), 1
 
     def diagonal(self, n):
-        return self.s[:n].copy()
+        return _stored(self.s, n, "s").copy()
 
     def path_stream(self, n_max, rng, rows, chunk):
         return _stream_min(self.s, None, rng, rows, n_max, chunk)
@@ -470,7 +475,7 @@ class ScaledMinKernel(KernelSpec):
         return -(_min_generator(self.s, size) * np.outer(b, b)), 1
 
     def diagonal(self, n):
-        return self.s[:n] / self.b[:n] ** 2
+        return _stored(self.s, n, "s") / self.b[:n] ** 2
 
     def path_stream(self, n_max, rng, rows, chunk):
         return _stream_min(self.s, self.b[:n_max], rng, rows, n_max, chunk)
@@ -532,12 +537,10 @@ class ExpKernel(KernelSpec):
         return -_tridiag(diag, -0.5 / np.sinh(g[:-1])), 1
 
     def diagonal(self, n):
-        return np.ones(n)
+        return np.ones_like(_stored(self.v, n, "v"))
 
     def path_stream(self, n_max, rng, rows, chunk):
-        if self.v.size < n_max:
-            raise ValueError("stored v shorter than the requested length")
-        v = self.v[:n_max]
+        v = _stored(self.v, n_max, "v")
         gaps = np.diff(v)
         gap = _steady(gaps, np.abs(v).max()) if gaps.size else np.inf
         state = rng.standard_normal(rows)      # stationary start, unit variance
@@ -615,9 +618,7 @@ class AR1(KernelSpec):
 
     def path_stream(self, n_max, rng, rows, chunk, first_scale=1.0):
         # xi[1] = first_scale g[1], xi[n] = x[n-1] xi[n-1] + g[n]
-        if self.x.size < n_max - 1:
-            raise ValueError("stored x shorter than the requested length")
-        a = _steady(self.x[: n_max - 1])
+        a = _steady(_stored(self.x, n_max - 1, "x"))
         if np.ndim(a):
             a = np.concatenate((a[:1], a))     # a[0] meets y[-1] = 0
         yield from _stream_one_pole(
@@ -793,6 +794,11 @@ class ARkGen(_FirstInnovationScaled):
 
     def _response(self, n):
         return phi_recursive(self.p, n).values
+
+    def diagonal(self, n):
+        # the inherited route computes phi once for the base and once here
+        phi_sq = phi_recursive(self.p, n).values ** 2
+        return np.cumsum(phi_sq) + self._weight * phi_sq
 
     def admissibility(self):
         ps = self.p.sum()

@@ -1,12 +1,17 @@
 """Deterministic JSON and CSV writers for reports and artifacts.
 
 Sorted keys, full-precision floats, no timestamps: identical inputs give
-byte-identical files, so seeded runs can be diffed.
+byte-identical files, so seeded runs can be diffed. A float is written as
+the repr of a Python float, the shortest string that reads back to the same
+value. CSV rows are formatted from `tolist()` values a block of rows at a
+time, so a writer's memory is set by the block, not by the table.
 """
 
 import json
 
 import numpy as np
+
+_BLOCK_ROWS = 4096
 
 
 def _plain(obj):
@@ -14,14 +19,8 @@ def _plain(obj):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     return obj
 
 
@@ -31,30 +30,31 @@ def write_json(path, doc):
         fh.write("\n")
 
 
-def _cell(v):
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+def write_table_csv(path, header, columns):
+    """One row per position of the 1-d `columns`, each of a single dtype.
 
-
-def write_table_csv(path, header, rows):
+    A cell is str() of its `tolist()` scalar, the repr for a float. Columns
+    convert one by one: stacked, integer labels would turn into floats.
+    """
+    columns = [np.asarray(c) for c in columns]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        for i0 in range(0, min(map(len, columns)), _BLOCK_ROWS):
+            cells = [map(str, c[i0 : i0 + _BLOCK_ROWS].tolist()) for c in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
-def write_matrix_csv(path, entries, row_labels, col_labels):
-    """Entries as (i, j, value) triples over the given 1-based labels."""
-    entries = np.asarray(entries)
-    rows = (
-        (int(row_labels[i]), int(col_labels[j]), float(entries[i, j]))
-        for i in range(entries.shape[0])
-        for j in range(entries.shape[1])
-    )
-    write_table_csv(path, ("i", "j", "value"), rows)
+def write_matrix_csv(path, entries, row_labels, col_labels, header):
+    """Entries as (row label, column label, value) rows, one matrix row at a time."""
+    entries = np.asarray(entries, dtype=float)
+    cols = [f"{int(j)}," for j in col_labels]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for i, row in zip(row_labels, entries):
+            pre = f"{int(i)},"
+            fh.write("".join([f"{pre}{j}{v!r}\n" for j, v in zip(cols, row.tolist())]))
 
 
 def write_sequence_csv(path, labels, values, value_name="value"):
-    rows = ((int(i), float(v)) for i, v in zip(labels, values))
-    write_table_csv(path, ("index", value_name), rows)
+    columns = (np.asarray(labels, dtype=int), np.asarray(values, dtype=float))
+    write_table_csv(path, ("index", value_name), columns)

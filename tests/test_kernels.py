@@ -230,7 +230,41 @@ class TestShiftAdmissibility:
         assert info.value.key == key
 
 
+class TestDiagonalLength:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            MinKernel(s=[1.0, 2.0, 3.0]),
+            ScaledMinKernel(s=[1.0, 2.0, 3.0], b=[1.0, 1.5, 2.0]),
+            ExpKernel(v=[0.0, 1.0, 2.0]),
+            AR1(x=[0.5, 0.5]),
+        ],
+        ids=["min", "scaled_min", "exp", "ar1"],
+    )
+    def test_refuses_past_the_stored_sequence(self, spec):
+        assert kernel_diagonal(spec, 3).shape == (3,)
+        with pytest.raises(ValueError, match="shorter|too short"):
+            kernel_diagonal(spec, 5)
+
+
 class TestARkGen:
+    @pytest.mark.parametrize(
+        "p, a_sq", [((0.5, 0.25), 0.4), ((1 / 3, 5 / 9, 1 / 9), 0.5)]
+    )
+    def test_diagonal_takes_phi_once(self, p, a_sq, monkeypatch):
+        spec = ARkGen(p=p, a_sq=a_sq)
+        n = 2_000
+        inherited = spec.base.diagonal(n) + spec._weight * spec._response(n) ** 2
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return phi_recursive(*args)
+
+        monkeypatch.setattr("potkernels.kernels.phi_recursive", counted)
+        assert np.array_equal(spec.diagonal(n), inherited)
+        assert len(calls) == 1
+
     def test_covariance_decomposition(self):
         base = ARk(p=(0.5, 0.25))
         gen = ARkGen(p=(0.5, 0.25), a_sq=0.4)
