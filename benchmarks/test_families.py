@@ -3,7 +3,10 @@
 Times `kernel_diagonal` and a 3-row `sample_gaussian` for every family with
 a path stream. The shifted families run through their base family, so a
 shifted row that drifts away from its base row shows the cost of the
-delegation.
+delegation. Two rows have time-varying coefficients: exp on an uneven grid
+and AR1 with x_j = 1 - c / sqrt(j). Their recurrences take the blocked scan
+of `kernels._one_pole` where `exp` and `ar1` take `lfilter`, so each pair of
+rows gives the varying against the constant cost per sample.
 
 The directory sits outside `testpaths`, so the test suite does not collect
 it. Run it from a source checkout:
@@ -40,7 +43,11 @@ FAMILIES = {
         s=np.arange(1.0, n + 1.0), b=np.full(n, 1.5), Delta=0.5
     ),
     "exp": lambda n: ExpKernel(v=np.arange(1.0, n + 1.0)),
+    "exp_uneven": lambda n: ExpKernel(
+        v=np.cumsum(np.random.default_rng(7).uniform(0.5, 1.5, n))
+    ),
     "ar1": lambda n: AR1(x=np.full(n, 0.5)),
+    "ar1_varying": lambda n: AR1(x=1.0 - 0.5 / np.sqrt(np.arange(1.0, n + 1.0))),
     "ar1_shifted": lambda n: AR1Shifted(x=np.full(n, 0.5), delta_tilde=1.5),
     "ark": lambda n: ARk(p=(0.5, 0.25)),
     "ark_gen": lambda n: ARkGen(p=(0.5, 0.25), a_sq=0.4),

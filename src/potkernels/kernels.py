@@ -52,6 +52,9 @@ CONDITION_LIMIT = 1e12
 # rounding, so such a sequence of coefficients or gaps counts as constant
 CONSTANT_ULPS = 4
 
+# block length of the varying-coefficient scan in `_one_pole`
+SCAN_BLOCK = 512
+
 
 def _as_float_array(values, name):
     try:
@@ -79,22 +82,62 @@ def _steady(a, scale=None):
     return float(a.flat[0]) if a.size else 0.0
 
 
+def _by_position(x, b, k):
+    """x[..., m*b + i] at [i, ..., m] for k blocks of b; zero past the end."""
+    n, lead = x.shape[-1], x.shape[:-1]
+    whole = n - n % b
+    out = np.zeros((b,) + lead + (k,))
+    blocks = np.moveaxis(out, 0, -1)
+    blocks[..., : whole // b, :] = x[..., :whole].reshape(lead + (whole // b, b))
+    blocks[..., -1, : n - whole] = x[..., whole:]
+    return out
+
+
 def _one_pole(a, u, y0):
     """y[..., j] = a[j] y[..., j-1] + u[..., j] along the last axis from y0.
 
     y0 stands at j = -1 and carries the state from the previous chunk.
     Constant coefficients (a scalar, or a sequence that `_steady` reduces
-    to one) run through lfilter, varying ones through a per-step loop.
+    to one) run through lfilter. Varying ones run a blocked scan
+    (Blelloch, CMU-CS-90-190, 1990) over blocks of SCAN_BLOCK steps:
+    one pass over the positions advances every block at once, block 0
+    from y0 and the others from 0. The carries into the blocks solve the
+    same recurrence, with the products of `a` over each block as
+    coefficients and the block ends as inputs, and come back into each
+    block times the running product of `a`. Only products of the
+    coefficients are formed and nothing is divided, so a in [0, 1] cannot
+    overflow. A sequence of at most one block runs the plain recurrence.
     """
     a = _steady(a)
     if np.ndim(a) == 0:
         zi = np.expand_dims(a * np.asarray(y0, dtype=float), -1)
         return lfilter([1.0], [1.0, -a], u, axis=-1, zi=zi)[0]
+    n, lead = u.shape[-1], u.shape[:-1]
+    b = min(SCAN_BLOCK, n)
+    k = -(-n // b)
+    if k == 1:
+        y = np.empty_like(u)
+        v, w, c = y.T, u.T, a      # time first: each step is a number or a row
+        prev = y0
+    else:
+        v = w = _by_position(u, b, k)      # each step is one row per block
+        c = _by_position(a, b, k)
+        prev = np.zeros(lead + (k,))
+        prev[..., 0] = y0
+    for i in range(b):
+        prev = v[i] = c[i] * prev + w[i]
+    if k == 1:
+        return y
+    p = np.cumprod(c, axis=0)
+    carry = _one_pole(p[-1, :-1], v[-1][..., :-1], np.zeros(lead))
+    for i in range(b):
+        v[i][..., 1:] += p[i, 1:] * carry
     y = np.empty_like(u)
-    yt, ut = y.T, u.T          # time first: each step is a number or a row
-    prev = y0
-    for j in range(ut.shape[0]):
-        prev = yt[j] = a[j] * prev + ut[j]
+    whole = n - n % b
+    blocks = np.moveaxis(v, 0, -1)
+    y_whole = y[..., :whole].reshape(lead + (whole // b, b), copy=False)
+    y_whole[...] = blocks[..., : whole // b, :]
+    y[..., whole:] = blocks[..., -1, : n - whole]
     return y
 
 

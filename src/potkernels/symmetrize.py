@@ -103,7 +103,7 @@ def _symmetrize_sign_checked(A):
                     raise IdentityError(
                         "inverse-m-matrix",
                         f"off-diagonal pair ({i},{j}) has mismatched signs "
-                        f"({x!r}, {y!r})",
+                        f"({float(x)!r}, {float(y)!r})",
                     )
                 raise IdentityError(
                     "inverse-m-matrix",

@@ -34,6 +34,7 @@ from potkernels import (
     verify_duality,
     window_inverse,
 )
+from potkernels import kernels
 
 from conftest import random_increasing_s
 
@@ -161,6 +162,14 @@ class TestAR1:
         assert d[0] == 1.0
         np.testing.assert_allclose(d[1:], x**2 * d[:-1] + 1.0, rtol=1e-15)
 
+    def test_diagonal_recursion_across_scan_blocks(self):
+        # x_j = 1 - c / sqrt(j) -> 1: 2000 indices cross three block edges
+        n = 2000
+        x = 1.0 - 0.3 / np.sqrt(np.arange(1.0, n))
+        d = AR1(x=x).diagonal(n)
+        assert d[0] == 1.0
+        np.testing.assert_allclose(d[1:], x**2 * d[:-1] + 1.0, rtol=1e-15)
+
     def test_rejects_decreasing_x(self):
         with pytest.raises(ValueError):
             AR1(x=[0.9, 0.5])
@@ -181,6 +190,79 @@ class TestAR1:
             sum(np.prod(x[i:j] ** 2) for i in range(j + 1)) for j in range(n)
         ]
         np.testing.assert_allclose(AR1(x=x).diagonal(n), explicit, rtol=1e-12)
+
+
+def one_pole_loop(a, u, y0):
+    """Reference route: y[..., j] = a[j] y[..., j-1] + u[..., j], step by step."""
+    y = np.empty_like(u)
+    yt, ut = y.T, u.T
+    prev = y0
+    for j in range(ut.shape[0]):
+        prev = yt[j] = a[j] * prev + ut[j]
+    return y
+
+
+# past one block the scan may differ from the loop by this much relative to
+# max(1, max|y|); at n = 10^6 with a_j = 1 - 0.5 / sqrt(j) the ratio is 5e-15
+SCAN_TOL = 1e-13
+
+
+@st.composite
+def one_pole_inputs(draw, lengths):
+    n = draw(lengths)
+    rows = draw(st.sampled_from([None, 1, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.uniform(0.0, 1.0, n)
+    for value in (0.0, 1.0):     # a run of 0 cuts the carry, a run of 1 keeps it
+        start = draw(st.integers(0, n - 1))
+        a[start : start + draw(st.integers(0, n // 3))] = value
+    u = rng.standard_normal((n,) if rows is None else (rows, n))
+    # one coefficient is constant and runs through lfilter, whose state is
+    # per row
+    per_row = rows is not None and (n == 1 or draw(st.booleans()))
+    y0 = rng.standard_normal(rows) if per_row else float(rng.standard_normal())
+    return a, u, y0
+
+
+def assert_scan_matches_loop(a, u, y0):
+    got = kernels._one_pole(a, u, y0)
+    ref = one_pole_loop(a, u, y0)
+    if u.shape[-1] <= kernels.SCAN_BLOCK:
+        assert np.array_equal(got, ref)
+    else:
+        bound = SCAN_TOL * max(1.0, np.abs(ref).max())
+        np.testing.assert_allclose(got, ref, rtol=0, atol=bound)
+
+
+BLOCK_EDGE_LENGTHS = st.one_of(
+    st.sampled_from([1, 511, 512, 513, 1024, 1025]),
+    st.builds(
+        lambda k, r: k * kernels.SCAN_BLOCK + r,
+        st.integers(0, 4),
+        st.integers(1, kernels.SCAN_BLOCK - 1),
+    ),
+)
+
+
+class TestOnePoleScan:
+    @settings(max_examples=100, deadline=None)
+    @given(case=one_pole_inputs(BLOCK_EDGE_LENGTHS))
+    def test_matches_per_step_reference(self, case):
+        assert_scan_matches_loop(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(block=st.integers(2, 4), case=one_pole_inputs(st.integers(1, 300)))
+    def test_carries_recurse_through_small_blocks(self, block, case):
+        # blocks of 2 to 4 put the carry solve several levels deep
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "SCAN_BLOCK", block)
+            assert_scan_matches_loop(*case)
+
+    def test_critical_ar1_coefficients_at_one_million(self):
+        n = 1_000_000
+        a = 1.0 - 0.5 / np.sqrt(np.arange(1.0, n + 1.0))
+        u = np.random.default_rng(5).standard_normal(n)
+        assert_scan_matches_loop(a, u, 0.0)
 
 
 class TestShiftAdmissibility:

@@ -33,6 +33,7 @@ from potkernels import (
     sample_permanental,
     sparse_subsequence,
 )
+from potkernels import kernels
 
 
 def covariance_zscores(spec, n, seed, trials):
@@ -68,6 +69,21 @@ class TestGaussianSampler:
              "scaled_min", "shifted_scaled", "ark", "ark_gen"],
     )
     def test_exact_covariance(self, spec):
+        z = covariance_zscores(spec, 8, seed=3, trials=40_000)
+        assert z.max() < 5.0
+
+    @pytest.mark.parametrize("block", [2, 3])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ExpKernel(v=np.cumsum([0.1, 0.5, 1.2, 0.3, 0.9, 0.2, 1.5, 0.4])),
+            AR1(x=np.sort(np.random.default_rng(1).uniform(0.3, 0.9, 7))),
+        ],
+        ids=["exp-varying", "ar1-varying"],
+    )
+    def test_exact_covariance_across_scan_blocks(self, spec, block, monkeypatch):
+        # blocks of 2 or 3 steps: the 8 indices cross every kind of block edge
+        monkeypatch.setattr(kernels, "SCAN_BLOCK", block)
         z = covariance_zscores(spec, 8, seed=3, trials=40_000)
         assert z.max() < 5.0
 

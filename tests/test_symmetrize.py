@@ -15,6 +15,7 @@ from potkernels import (
     extend,
     sandwich_factor,
 )
+from potkernels.symmetrize import _symmetrize_sign_checked
 
 from conftest import random_density, random_increasing_s
 
@@ -148,6 +149,14 @@ class TestRejections:
         with pytest.raises(IdentityError) as err:
             analyze(extend(U, f), U, f)
         assert err.value.key == "inverse-m-matrix"
+
+    def test_sign_refusal_prints_plain_floats(self):
+        A = np.array([[1.0, 5.849662193001174e-09], [-4.8121269815678495e-09, 1.0]])
+        with pytest.raises(IdentityError) as err:
+            _symmetrize_sign_checked(A)
+        assert err.value.key == "inverse-m-matrix"
+        assert "(5.849662193001174e-09, -4.8121269815678495e-09)" in str(err.value)
+        assert "np." not in str(err.value)
 
 
 class TestSandwich:
