@@ -96,7 +96,8 @@ def _by_position(x, b, k):
 def _one_pole(a, u, y0):
     """y[..., j] = a[j] y[..., j-1] + u[..., j] along the last axis from y0.
 
-    y0 stands at j = -1 and carries the state from the previous chunk.
+    y0 stands at j = -1 and carries the state from the previous chunk; it
+    is one number or one per row of u.
     Constant coefficients (a scalar, or a sequence that `_steady` reduces
     to one) run through lfilter. Varying ones run a blocked scan
     (Blelloch, CMU-CS-90-190, 1990) over blocks of SCAN_BLOCK steps:
@@ -110,35 +111,24 @@ def _one_pole(a, u, y0):
     """
     a = _steady(a)
     if np.ndim(a) == 0:
-        zi = np.expand_dims(a * np.asarray(y0, dtype=float), -1)
+        y0 = np.broadcast_to(np.asarray(y0, dtype=float), u.shape[:-1])
+        zi = np.expand_dims(a * y0, -1)
         return lfilter([1.0], [1.0, -a], u, axis=-1, zi=zi)[0]
     n, lead = u.shape[-1], u.shape[:-1]
     b = min(SCAN_BLOCK, n)
     k = -(-n // b)
-    if k == 1:
-        y = np.empty_like(u)
-        v, w, c = y.T, u.T, a      # time first: each step is a number or a row
-        prev = y0
-    else:
-        v = w = _by_position(u, b, k)      # each step is one row per block
-        c = _by_position(a, b, k)
-        prev = np.zeros(lead + (k,))
-        prev[..., 0] = y0
+    v = _by_position(u, b, k)      # each step is one row per block
+    c = _by_position(a, b, k)
+    prev = np.zeros(lead + (k,))
+    prev[..., 0] = y0
     for i in range(b):
-        prev = v[i] = c[i] * prev + w[i]
-    if k == 1:
-        return y
-    p = np.cumprod(c, axis=0)
-    carry = _one_pole(p[-1, :-1], v[-1][..., :-1], np.zeros(lead))
-    for i in range(b):
-        v[i][..., 1:] += p[i, 1:] * carry
-    y = np.empty_like(u)
-    whole = n - n % b
-    blocks = np.moveaxis(v, 0, -1)
-    y_whole = y[..., :whole].reshape(lead + (whole // b, b), copy=False)
-    y_whole[...] = blocks[..., : whole // b, :]
-    y[..., whole:] = blocks[..., -1, : n - whole]
-    return y
+        prev = v[i] = c[i] * prev + v[i]
+    if k > 1:
+        p = np.cumprod(c, axis=0)
+        carry = _one_pole(p[-1, :-1], v[-1][..., :-1], 0.0)
+        for i in range(b):
+            v[i][..., 1:] += p[i, 1:] * carry
+    return np.moveaxis(v, 0, -1).reshape(lead + (k * b,))[..., :n]
 
 
 def _chunks(n_max, chunk):

@@ -217,9 +217,7 @@ def one_pole_inputs(draw, lengths):
         start = draw(st.integers(0, n - 1))
         a[start : start + draw(st.integers(0, n // 3))] = value
     u = rng.standard_normal((n,) if rows is None else (rows, n))
-    # one coefficient is constant and runs through lfilter, whose state is
-    # per row
-    per_row = rows is not None and (n == 1 or draw(st.booleans()))
+    per_row = rows is not None and draw(st.booleans())
     y0 = rng.standard_normal(rows) if per_row else float(rng.standard_normal())
     return a, u, y0
 
@@ -257,6 +255,13 @@ class TestOnePoleScan:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "SCAN_BLOCK", block)
             assert_scan_matches_loop(*case)
+
+    def test_constant_coefficient_takes_one_start_for_all_rows(self):
+        a = np.full(5, 0.5)
+        u = np.random.default_rng(3).standard_normal((3, 5))
+        np.testing.assert_allclose(
+            kernels._one_pole(a, u, 0.7), one_pole_loop(a, u, 0.7), rtol=1e-12
+        )
 
     def test_critical_ar1_coefficients_at_one_million(self):
         n = 1_000_000
