@@ -38,6 +38,8 @@ def _as_values(f_window, n):
         raise ValueError(f"f_window must have length {n}")
     if np.any(values < 0):
         raise ValueError("f_window must be nonnegative")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("f_window must be finite")
     return values
 
 
@@ -89,28 +91,30 @@ class SymmetrizationLedger:
 
 
 def _symmetrize_sign_checked(A):
-    n = A.shape[0]
-    scale = np.abs(A).max()
-    tiny = 1e-12 * max(1.0, scale)
-    A_sym = np.diag(np.diag(A)).astype(float)
-    for i in range(n):
-        for j in range(i + 1, n):
-            x, y = A[i, j], A[j, i]
-            if abs(x) <= tiny or abs(y) <= tiny:
-                continue
-            if x > 0 or y > 0:
-                if x * y < 0:
-                    raise IdentityError(
-                        "inverse-m-matrix",
-                        f"off-diagonal pair ({i},{j}) has mismatched signs "
-                        f"({float(x)!r}, {float(y)!r})",
-                    )
-                raise IdentityError(
-                    "inverse-m-matrix",
-                    f"positive off-diagonal pair ({i},{j}) breaks the "
-                    "M-matrix sign pattern",
-                )
-            A_sym[i, j] = A_sym[j, i] = -np.sqrt(x * y)
+    tiny = 1e-12 * max(1.0, np.abs(A).max())
+    # NaN is never <= tiny, so a NaN pair is kept and symmetrizes to NaN
+    small = np.abs(A) <= tiny
+    kept = ~(small | small.T)
+    positive = A > 0
+    bad = np.argwhere(np.triu(kept & (positive | positive.T), 1))
+    if bad.size:
+        i, j = bad[0]
+        x, y = A[i, j], A[j, i]
+        if x * y < 0:
+            raise IdentityError(
+                "inverse-m-matrix",
+                f"off-diagonal pair ({i},{j}) has mismatched signs "
+                f"({float(x)!r}, {float(y)!r})",
+            )
+        raise IdentityError(
+            "inverse-m-matrix",
+            f"positive off-diagonal pair ({i},{j}) breaks the "
+            "M-matrix sign pattern",
+        )
+    # a skipped pair may have a negative product; np.where drops its root
+    with np.errstate(invalid="ignore"):
+        A_sym = np.where(kept, -np.sqrt(A * A.T), 0.0)
+    np.fill_diagonal(A_sym, np.diag(A))
     return A_sym
 
 
@@ -120,7 +124,9 @@ def analyze(K_ext, U_window, f_window):
     The inverse A is assembled from the closed form and cross-checked
     against dense inversion of K_ext; nu is computed both as the
     determinant ratio det(A_sym)/det(A) and through the closed form
-    (1 + rho) - m U m^T, and the two must agree.
+    (1 + rho) - m U m^T, and the two must agree. The window's 1-norm
+    condition estimate comes from its one inverse; a singular window
+    counts as infinitely ill-conditioned.
     """
     U = _as_matrix(U_window)
     n = U.shape[0]
@@ -131,14 +137,18 @@ def analyze(K_ext, U_window, f_window):
     scale_u = np.abs(U).max()
     if np.abs(U - U.T).max() > 1e-10 * max(1.0, scale_u):
         raise ValueError("U_window must be symmetric")
-    cond = np.linalg.cond(U, 1)
+    try:
+        Uinv = np.linalg.inv(U)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    else:
+        cond = np.linalg.norm(U, 1) * np.linalg.norm(Uinv, 1)
     if cond > CONDITION_LIMIT:
         raise IdentityError(
             "window-inverse-identity",
             f"window condition estimate {cond:.3e} beyond refusal limit",
         )
 
-    Uinv = np.linalg.inv(U)
     c = Uinv.T @ f
     r = Uinv.sum(axis=1)
     rho = float(c.sum())

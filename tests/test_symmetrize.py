@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potkernels import (
     AR1,
@@ -13,8 +15,10 @@ from potkernels import (
     apply_potential,
     build_kernel,
     extend,
+    sample_permanental,
     sandwich_factor,
 )
+from potkernels.kernels import CONDITION_LIMIT
 from potkernels.symmetrize import _symmetrize_sign_checked
 
 from conftest import random_density, random_increasing_s
@@ -150,6 +154,43 @@ class TestRejections:
             analyze(extend(U, f), U, f)
         assert err.value.key == "inverse-m-matrix"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_f(self, bad):
+        spec = MinKernel(s=np.arange(1.0, 6.0))
+        U = np.asarray(build_kernel(spec, Window(0, 4)).entries)
+        f = np.array([bad, 0.0, 0.0, 0.0])
+        calls = (
+            lambda: extend(U, f),
+            lambda: analyze(extend(U, np.zeros(4)), U, f),
+            lambda: sample_permanental(spec, f, 1, 4, 3),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert type(err.value) is ValueError
+            assert str(err.value) == "f_window must be finite"
+
+    def test_singular_window(self):
+        U = np.ones((3, 3))
+        with pytest.raises(IdentityError) as err:
+            analyze(np.eye(4), U, np.zeros(3))
+        assert str(err.value) == (
+            "[window-inverse-identity] window condition estimate inf beyond "
+            "refusal limit"
+        )
+
+    def test_ill_conditioned_window(self):
+        s = np.array([1.0, 1.0 + 1e-13, 2.0, 3.0])
+        U = np.minimum.outer(s, s)
+        cond = np.linalg.cond(U, 1)
+        assert cond > CONDITION_LIMIT
+        with pytest.raises(IdentityError) as err:
+            analyze(np.eye(5), U, np.zeros(4))
+        assert str(err.value) == (
+            f"[window-inverse-identity] window condition estimate {cond:.3e} "
+            "beyond refusal limit"
+        )
+
     def test_sign_refusal_prints_plain_floats(self):
         A = np.array([[1.0, 5.849662193001174e-09], [-4.8121269815678495e-09, 1.0]])
         with pytest.raises(IdentityError) as err:
@@ -157,6 +198,116 @@ class TestRejections:
         assert err.value.key == "inverse-m-matrix"
         assert "(5.849662193001174e-09, -4.8121269815678495e-09)" in str(err.value)
         assert "np." not in str(err.value)
+
+
+def sign_checked_loop(A):
+    """Reference route: the sign check and geometric mean, pair by pair."""
+    n = A.shape[0]
+    scale = np.abs(A).max()
+    tiny = 1e-12 * max(1.0, scale)
+    A_sym = np.diag(np.diag(A)).astype(float)
+    for i in range(n):
+        for j in range(i + 1, n):
+            x, y = A[i, j], A[j, i]
+            if abs(x) <= tiny or abs(y) <= tiny:
+                continue
+            if x > 0 or y > 0:
+                if x * y < 0:
+                    raise IdentityError(
+                        "inverse-m-matrix",
+                        f"off-diagonal pair ({i},{j}) has mismatched signs "
+                        f"({float(x)!r}, {float(y)!r})",
+                    )
+                raise IdentityError(
+                    "inverse-m-matrix",
+                    f"positive off-diagonal pair ({i},{j}) breaks the "
+                    "M-matrix sign pattern",
+                )
+            A_sym[i, j] = A_sym[j, i] = -np.sqrt(x * y)
+    return A_sym
+
+
+# entries around the skip threshold: one ulp inside, on it, one ulp beyond
+BOUNDARY_STEPS = (
+    lambda tiny: np.nextafter(tiny, 0.0),
+    lambda tiny: tiny,
+    lambda tiny: np.nextafter(tiny, np.inf),
+)
+
+
+@st.composite
+def sign_pattern_inputs(draw):
+    """(n+1) x (n+1) matrices in the M-matrix sign pattern with planted faults.
+
+    The bulk is negative off the diagonal, with some exact zeros. Distinct
+    off-diagonal pairs then get positive or mismatched-sign entries (several
+    of them, so only the first in row-major order may be reported), NaN,
+    and entries within one ulp of the skip threshold tiny.
+    """
+    size = draw(st.integers(1, 40)) + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.5, 1.0, 30.0]))
+    A = -scale * 10.0 ** rng.uniform(-8.0, 0.0, (size, size))
+    A[rng.uniform(size=A.shape) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
+    np.fill_diagonal(A, scale)
+
+    faults = draw(st.lists(st.sampled_from(["positive", "mismatched"]), max_size=4))
+    nans = draw(st.lists(st.sampled_from(["both", "one"]), max_size=2))
+    edges = draw(
+        st.lists(
+            st.tuples(st.sampled_from(BOUNDARY_STEPS), st.sampled_from([-1.0, 1.0])),
+            max_size=8,
+        )
+    )
+    rows, cols = np.triu_indices(size, 1)
+    picks = rng.permutation(rows.size)[: len(faults) + len(nans) + len(edges)]
+    pairs = [
+        (rows[p], cols[p]) if rng.uniform() < 0.5 else (cols[p], rows[p])
+        for p in picks
+    ]
+    for (i, j), kind in zip(pairs, faults + nans):
+        if kind == "positive":
+            A[i, j], A[j, i] = scale * rng.uniform(0.1, 1.0, 2)
+        elif kind == "mismatched":
+            A[i, j], A[j, i] = scale * rng.uniform(0.1, 1.0, 2) * [1.0, -1.0]
+        elif kind == "both":
+            A[i, j] = A[j, i] = np.nan
+        else:
+            A[i, j] = np.nan
+    # the pairs are distinct and the edge entries small, so tiny is final here
+    tiny = 1e-12 * max(1.0, np.abs(A).max())
+    for (i, j), (step, sign) in zip(pairs[len(faults) + len(nans) :], edges):
+        A[i, j] = sign * step(tiny)
+    return A
+
+
+class TestSignCheck:
+    # a warning would reach the stderr of a CLI refusal
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None)
+    @given(A=sign_pattern_inputs())
+    def test_matches_pair_loop(self, A):
+        try:
+            ref = sign_checked_loop(A)
+        except IdentityError as exc:
+            with pytest.raises(IdentityError) as err:
+                _symmetrize_sign_checked(A)
+            assert err.value.key == exc.key
+            assert str(err.value) == str(exc)
+        else:
+            assert np.array_equal(_symmetrize_sign_checked(A), ref, equal_nan=True)
+
+    def test_first_fault_in_row_major_order_is_reported(self):
+        A = -np.ones((5, 5))
+        np.fill_diagonal(A, 4.0)
+        A[3, 4] = A[4, 3] = 0.5          # positive pair, later in row-major order
+        A[2, 1] = 0.25                   # mismatched pair (1, 2), earlier
+        with pytest.raises(IdentityError) as err:
+            _symmetrize_sign_checked(A)
+        assert str(err.value) == (
+            "[inverse-m-matrix] off-diagonal pair (1,2) has mismatched signs "
+            "(-1.0, 0.25)"
+        )
 
 
 class TestSandwich:
