@@ -22,6 +22,9 @@ The shifted families delegate to the family they are built from, `base`:
 `ARkGen` are AR1 and ARk with the first innovation scaled.
 """
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from numbers import Integral, Real
@@ -54,6 +57,9 @@ CONSTANT_ULPS = 4
 
 # block length of the varying-coefficient scan in `_one_pole`
 SCAN_BLOCK = 512
+
+# rows of innovations drawn at a time by a path stream wider than this
+ROW_TILE = 4096
 
 
 def _as_float_array(values, name):
@@ -108,6 +114,9 @@ def _one_pole(a, u, y0):
     block times the running product of `a`. Only products of the
     coefficients are formed and nothing is divided, so a in [0, 1] cannot
     overflow. A sequence of at most one block runs the plain recurrence.
+    Rows never mix, so the path streams filter a wide chunk in row tiles
+    of ROW_TILE rows, one call per tile on one helper thread
+    (`_filtered_chunks`), with the values of one call on the whole chunk.
     """
     a = _steady(a)
     if np.ndim(a) == 0:
@@ -143,17 +152,79 @@ def _part(c, j0, m):
     return c if np.ndim(c) == 0 else c[j0 : j0 + m]
 
 
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _forget_helper():
+    # a forked child inherits the executor but not its thread
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _filter_thread():
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            _helper = ThreadPoolExecutor(1, thread_name_prefix="potkernels-filter")
+        return _helper
+
+
+def _fill(out, rows, filt, g, j0):
+    out[rows] = filt(g, j0, rows)
+
+
+def _filtered_chunks(rng, rows, n_max, chunk, filt):
+    """Chunks of filtered Gaussian innovations, drawn in row tiles.
+
+    filt(g, j0, rows) filters the innovations g of the paths `rows` for
+    the chunk starting at column j0, and carries their state into the next
+    chunk. A chunk of at most ROW_TILE rows is one draw and one call. A
+    wider chunk is drawn in tiles of ROW_TILE rows, each a block of
+    consecutive rows, so the draws are the values of one (rows, m) draw.
+    While this thread draws tile k + 1, one helper thread filters tile k
+    into the chunk; at most one tile is in flight, every tile is done
+    before the chunk is yielded, and only this thread touches rng.
+    """
+    for j0, m in _chunks(n_max, chunk):
+        if rows <= ROW_TILE:
+            yield filt(rng.standard_normal((rows, m)), j0, slice(None))
+            continue
+        out = np.empty((rows, m))
+        pending = None
+        try:
+            for lo in range(0, rows, ROW_TILE):
+                tile = slice(lo, min(lo + ROW_TILE, rows))
+                g = rng.standard_normal((tile.stop - lo, m))
+                if pending is not None:
+                    pending.result()
+                pending = _filter_thread().submit(_fill, out, tile, filt, g, j0)
+            pending.result()
+        finally:
+            # a draw that raises must not leave a tile writing into `out`
+            if pending is not None:
+                wait((pending,))
+        yield out
+
+
 def _stream_one_pole(a, scale, y0, rng, rows, n_max, chunk, first_scale=1.0):
     # y[j] = a[j] y[j-1] + scale[j] g[j] from y[-1] = y0, with a and scale
     # scalars or per-index arrays; the first innovation is scaled
-    for j0, m in _chunks(n_max, chunk):
-        g = rng.standard_normal((rows, m))
+    y0 = np.array(y0, dtype=float)
+
+    def filt(g, j0, r):
+        m = g.shape[1]
         if j0 == 0:
             g[:, 0] *= first_scale
         g *= _part(scale, j0, m)           # in place: rows x m can be large
-        block = _one_pole(_part(a, j0, m), g, y0)
-        y0 = block[:, -1].copy()
-        yield block
+        block = _one_pole(_part(a, j0, m), g, y0[r])
+        y0[r] = block[:, -1]
+        return block
+
+    return _filtered_chunks(rng, rows, n_max, chunk, filt)
 
 
 @dataclass(frozen=True)
@@ -784,12 +855,14 @@ class ARk(KernelSpec):
         # y[n] = sum p[l] y[n-l] + g[n] with empty history; y[1] scaled
         a = np.concatenate(([1.0], -self.p))
         zi = np.zeros((rows, a.size - 1))
-        for j0, m in _chunks(n_max, chunk):
-            g = rng.standard_normal((rows, m))
+
+        def filt(g, j0, r):
             if j0 == 0:
                 g[:, 0] *= first_scale
-            block, zi = lfilter([1.0], a, g, axis=1, zi=zi)
-            yield block
+            block, zi[r] = lfilter([1.0], a, g, axis=1, zi=zi[r])
+            return block
+
+        yield from _filtered_chunks(rng, rows, n_max, chunk, filt)
 
     def prediction(self, f_class, alpha, f_sqrt_small=False):
         return _predict_ark(self.p, f_class, alpha, f_sqrt_small)

@@ -28,8 +28,11 @@ BOUND_SLACK = 1e-9
 
 def _as_matrix(U_window):
     if isinstance(U_window, DenseKernelWindow):
-        return np.asarray(U_window.entries, dtype=float)
-    return np.asarray(U_window, dtype=float)
+        U_window = U_window.entries
+    U = np.asarray(U_window, dtype=float)
+    if not np.all(np.isfinite(U)):
+        raise ValueError("U_window must be finite")
+    return U
 
 
 def _as_values(f_window, n):

@@ -1,9 +1,15 @@
 """Kernel construction, structured inverses, generators, and dual checks."""
 
+import multiprocessing
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from potkernels import (
     AR1,
@@ -268,6 +274,157 @@ class TestOnePoleScan:
         a = 1.0 - 0.5 / np.sqrt(np.arange(1.0, n + 1.0))
         u = np.random.default_rng(5).standard_normal(n)
         assert_scan_matches_loop(a, u, 0.0)
+
+
+def stream_one_pole_untiled(a, scale, y0, rng, rows, n_max, chunk, first_scale=1.0):
+    """Reference route: one (rows, m) draw and one `_one_pole` per chunk."""
+    for j0, m in kernels._chunks(n_max, chunk):
+        g = rng.standard_normal((rows, m))
+        if j0 == 0:
+            g[:, 0] *= first_scale
+        g *= kernels._part(scale, j0, m)
+        block = kernels._one_pole(kernels._part(a, j0, m), g, y0)
+        y0 = block[:, -1].copy()
+        yield block
+
+
+def ark_stream_untiled(self, n_max, rng, rows, chunk, first_scale=1.0):
+    """Reference route for `ARk.path_stream`: one draw and one lfilter per chunk."""
+    a = np.concatenate(([1.0], -self.p))
+    zi = np.zeros((rows, a.size - 1))
+    for j0, m in kernels._chunks(n_max, chunk):
+        g = rng.standard_normal((rows, m))
+        if j0 == 0:
+            g[:, 0] *= first_scale
+        block, zi = lfilter([1.0], a, g, axis=1, zi=zi)
+        yield block
+
+
+class CallerThreadRng:
+    """A Generator's `standard_normal` that fails on any other thread."""
+
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.Philox(seed))
+        self._thread = threading.current_thread()
+
+    def standard_normal(self, *args, **kwargs):
+        assert threading.current_thread() is self._thread
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+# three chunks of 7, 7 and 6 columns, so the filter state crosses chunks
+STREAM_N, STREAM_CHUNK = 20, 7
+_coef = np.random.default_rng(4)
+STREAMED = {
+    "min": MinKernel(s=random_increasing_s(_coef, STREAM_N)),
+    "scaled_min": ScaledMinKernel(
+        s=np.arange(1.0, STREAM_N + 1.0), b=np.exp(0.1 * np.arange(STREAM_N))
+    ),
+    "shifted_scaled": ShiftedScaled(
+        s=np.arange(1.0, STREAM_N + 1.0), b=np.exp(0.1 * np.arange(STREAM_N)),
+        Delta=0.5,
+    ),
+    "exp-even": ExpKernel(v=0.7 * np.arange(STREAM_N)),
+    "exp-uneven": ExpKernel(v=np.cumsum(_coef.uniform(0.1, 1.5, STREAM_N))),
+    "ar1": AR1(x=np.full(STREAM_N - 1, 0.5)),
+    "ar1-varying": AR1(x=np.sort(_coef.uniform(0.3, 0.9, STREAM_N - 1))),
+    "ar1_shifted": AR1Shifted(
+        x=np.sort(_coef.uniform(0.3, 0.9, STREAM_N - 1)), delta_tilde=1.5
+    ),
+    "ark": ARk(p=(0.5, 0.25)),
+    "ark_gen": ARkGen(p=(0.5, 0.25), a_sq=0.4),
+}
+
+
+def untiled_stream(spec, rows, seed, monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(kernels, "_stream_one_pole", stream_one_pole_untiled)
+        mp.setattr(ARk, "path_stream", ark_stream_untiled)
+        return list(spec.path_stream(STREAM_N, CallerThreadRng(seed), rows, STREAM_CHUNK))
+
+
+def assert_stream_equal(got, ref):
+    assert len(got) == len(ref) == 3
+    for g, r in zip(got, ref):
+        assert np.array_equal(g, r)
+
+
+class TestTiledStreams:
+    @pytest.mark.parametrize("tile", [1, 2, 3])
+    @pytest.mark.parametrize("family", sorted(STREAMED))
+    def test_matches_untiled_reference(self, family, tile, monkeypatch):
+        spec = STREAMED[family]
+        for rows in (1, tile, tile + 1, 3 * tile + 2):
+            ref = untiled_stream(spec, rows, 9, monkeypatch)
+            with monkeypatch.context() as mp:
+                mp.setattr(kernels, "ROW_TILE", tile)
+                got = list(spec.path_stream(
+                    STREAM_N, CallerThreadRng(9), rows, STREAM_CHUNK
+                ))
+            assert_stream_equal(got, ref)
+
+    @pytest.mark.parametrize("failing_tile", [0, 2])
+    def test_filter_error_surfaces_from_the_stream(self, failing_tile, monkeypatch):
+        # 5 rows in tiles of 2: the first chunk filters tiles 0, 1 and 2
+        ran_on = []
+        one_pole = kernels._one_pole
+
+        def failing(a, u, y0):
+            ran_on.append(threading.current_thread())
+            if len(ran_on) == failing_tile + 1:
+                raise RuntimeError("filter failed")
+            return one_pole(a, u, y0)
+
+        monkeypatch.setattr(kernels, "ROW_TILE", 2)
+        with monkeypatch.context() as mp:
+            mp.setattr(kernels, "_one_pole", failing)
+            stream = STREAMED["ar1"].path_stream(STREAM_N, CallerThreadRng(1), 5, 7)
+            with pytest.raises(RuntimeError, match="filter failed"):
+                next(stream)
+        assert ran_on and threading.current_thread() not in ran_on
+        # the helper is free again, and there is one
+        ref = untiled_stream(STREAMED["ar1"], 5, 1, monkeypatch)
+        got = list(STREAMED["ar1"].path_stream(STREAM_N, CallerThreadRng(1), 5, 7))
+        assert_stream_equal(got, ref)
+        helpers = [t for t in threading.enumerate() if t.name.startswith("potkernels")]
+        assert len(helpers) == 1
+
+    def test_forked_child_starts_its_own_helper(self, monkeypatch):
+        # a child forked after the helper ran inherits no thread to run it
+        monkeypatch.setattr(kernels, "ROW_TILE", 2)
+        spec = STREAMED["ar1"]
+        list(spec.path_stream(STREAM_N, CallerThreadRng(1), 5, STREAM_CHUNK))
+        child = multiprocessing.get_context("fork").Process(
+            target=lambda: list(spec.path_stream(STREAM_N, CallerThreadRng(1), 5, 7))
+        )
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+        assert child.exitcode == 0
+
+    def test_concurrent_callers_share_one_helper(self, monkeypatch):
+        # more callers than cores, switching often: each stream's rows and
+        # carried state must stay its own
+        cases = [(family, 7 + i, 11 + i) for i, family in enumerate(sorted(STREAMED))]
+        refs = {c: untiled_stream(STREAMED[c[0]], c[1], c[2], monkeypatch) for c in cases}
+
+        def run(case):
+            family, rows, seed = case
+            rng = CallerThreadRng(seed)
+            return list(STREAMED[family].path_stream(STREAM_N, rng, rows, STREAM_CHUNK))
+
+        monkeypatch.setattr(kernels, "ROW_TILE", 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                runs = [(c, pool.submit(run, c)) for c in cases * 3]
+                results = [(c, f.result(timeout=60)) for c, f in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        for case, got in results:
+            assert_stream_equal(got, refs[case])
 
 
 class TestShiftAdmissibility:

@@ -1,8 +1,10 @@
 """Seeded samplers, marginal tests, trend experiments, and subsequences."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import betainc, gammainc
@@ -33,7 +35,7 @@ from potkernels import (
     sample_permanental,
     sparse_subsequence,
 )
-from potkernels import kernels
+from potkernels import kernels, mcsim
 
 
 def covariance_zscores(spec, n, seed, trials):
@@ -215,6 +217,87 @@ class TestGammaMarginals:
         spec = ExpKernel(v=np.arange(10.0))
         with pytest.raises(ValueError):
             gamma_marginal_test(spec, None, 0.7, [2], 1000, seed=1)
+
+    @pytest.mark.parametrize("m_samples", [0, -5])
+    def test_rejects_empty_sample(self, m_samples):
+        spec = ExpKernel(v=np.arange(10.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="m_samples must be >= 1"):
+                gamma_marginal_test(spec, None, 0.5, [2], m_samples, seed=1)
+
+
+@st.composite
+def ks_samples(draw):
+    """Sorted samples against Gamma(alpha, 1): fitting, tied, massed, misfit."""
+    m = draw(st.one_of(st.integers(1, 70), st.integers(71, 3000)))
+    alpha = draw(st.sampled_from([0.5, 1.0, 1.5, 2.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a wrong scale puts D far above the critical value
+    t = rng.gamma(alpha, draw(st.sampled_from([1.0, 1.0, 0.3, 3.0])), m)
+    decimals = draw(st.sampled_from([None, 0, 1, 3]))
+    if decimals is not None:     # rounding makes runs of ties
+        t = np.round(t, decimals)
+    if draw(st.booleans()):      # a point mass on part of the sample
+        t[rng.random(m) < draw(st.floats(0.05, 0.95))] = draw(
+            st.sampled_from([0.0, alpha, 10.0 * alpha])
+        )
+    return alpha, np.sort(t)
+
+
+class TestKSSupremum:
+    @settings(max_examples=300, deadline=None)
+    @given(case=ks_samples())
+    @example(case=(0.5, np.array([0.3])))
+    @example(case=(1.0, np.sort(np.random.default_rng(1).gamma(1.0, 1.0, 32))))
+    @example(case=(1.5, np.sort(np.random.default_rng(2).gamma(1.5, 1.0, 33))))
+    @example(case=(2.5, np.zeros(64)))
+    def test_matches_full_evaluation(self, case):
+        alpha, t = case
+        assert mcsim._ks_gamma(alpha, t) == mcsim._ks_statistic(gammainc(alpha, t))
+
+    def test_evaluates_few_points_on_a_fitting_sample(self, monkeypatch):
+        t = np.sort(np.random.default_rng(3).gamma(1.5, 1.0, 100_000))
+        counted = []
+
+        def counting(a, x):
+            counted.append(x.size)
+            return gammainc(a, x)
+
+        monkeypatch.setattr(mcsim, "gammainc", counting)
+        D = mcsim._ks_gamma(1.5, t)
+        assert D == mcsim._ks_statistic(gammainc(1.5, t))
+        assert sum(counted) < t.size / 4
+
+
+class TestPotentialPart:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (-1.0, "f_window must be nonnegative"),
+            (np.nan, "f_window must be finite"),
+            (np.inf, "f_window must be finite"),
+        ],
+    )
+    def test_refuses_negative_or_non_finite_f(self, bad, message):
+        spec = ExpKernel(v=np.arange(1.0, 11.0))
+        pred = predict(spec, "zero", 0.5, gaps="separated")
+        f = np.full(10, bad)
+        cfg = ExperimentConfig(
+            spec=spec, alpha=0.5, checkpoints=(5, 10), trials=1, seed=1, f=f
+        )
+        calls = (
+            lambda: gamma_marginal_test(spec, f, 0.5, [2, 10], 100, seed=1),
+            lambda: limsup_experiment(cfg, pred),
+            lambda: sample_permanental(spec, f, 1, 10, seed=1),
+        )
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as err:
+                    call()
+            assert type(err.value) is ValueError
+            assert str(err.value) == message
 
 
 class TestTrendExperiment:

@@ -18,7 +18,7 @@ from potkernels import (
     sample_permanental,
     sandwich_factor,
 )
-from potkernels.kernels import CONDITION_LIMIT
+from potkernels.kernels import CONDITION_LIMIT, DenseKernelWindow
 from potkernels.symmetrize import _symmetrize_sign_checked
 
 from conftest import random_density, random_increasing_s
@@ -153,6 +153,25 @@ class TestRejections:
         with pytest.raises(IdentityError) as err:
             analyze(extend(U, f), U, f)
         assert err.value.key == "inverse-m-matrix"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_window(self, bad):
+        spec = MinKernel(s=np.arange(1.0, 6.0))
+        window = build_kernel(spec, Window(0, 4))
+        U = np.asarray(window.entries).copy()
+        U[1, 2] = U[2, 1] = bad
+        f = np.array([0.5, 0.0, 0.0, 0.0])
+        K = extend(window, f)
+        calls = (
+            lambda: extend(U, f),
+            lambda: analyze(K, U, f),
+            lambda: extend(DenseKernelWindow(window.window, U, spec), f),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert type(err.value) is ValueError
+            assert str(err.value) == "U_window must be finite"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_f(self, bad):
