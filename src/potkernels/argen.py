@@ -21,6 +21,9 @@ RECONSTRUCTION_TOL = 1e-9
 SERIES_EPS = 1e-15
 AGREEMENT_TOL = 1e-9
 
+# seed of the interior points that the partial fractions are checked at
+RECONSTRUCTION_SEED = 20
+
 
 def _check_p(p):
     p = np.asarray(p, dtype=float)
@@ -212,7 +215,7 @@ def _series_div(num, den, order):
     return out
 
 
-def partial_fractions(p, root_set=None, seed=20):
+def partial_fractions(p):
     """Coefficients B_j(q_l) of x/P(x) = sum over B via local expansions.
 
     At each root the deflated quotient is expanded by exact series division
@@ -220,7 +223,7 @@ def partial_fractions(p, root_set=None, seed=20):
     The reconstruction is verified at random interior points.
     """
     p = _check_p(p)
-    rs = root_set if root_set is not None else char_roots(p)
+    rs = char_roots(p)
     lead = -p[-1]            # leading coefficient of P
     roots, mults = rs.roots, rs.multiplicities
     B = []
@@ -243,7 +246,7 @@ def partial_fractions(p, root_set=None, seed=20):
     constant = -1.0 / float(p[0]) if p.size == 1 else 0.0
     table = PartialFractionTable(root_set=rs, B=tuple(B), constant=constant)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(RECONSTRUCTION_SEED)
     pts = (rng.uniform(-0.95, 0.95, 20) + 1j * rng.uniform(-0.95, 0.95, 20)) / np.sqrt(2)
     coeffs = _poly_coeffs(p)
     direct = pts / _poly_eval(coeffs, pts)
@@ -272,10 +275,10 @@ def _truncation_index(r, d_max, eps=SERIES_EPS):
     raise IdentityError("phi-closed-form", f"series with ratio {r} converges too slowly")
 
 
-def phi_closed(p, N, table=None):
+def phi_closed(p, N):
     """phi[n] = sum_l sum_j B_j(q_l) C(j-1+n, j-1) q_l^{-n} for n = 1..N."""
     p = _check_p(p)
-    tbl = table if table is not None else partial_fractions(p)
+    tbl = partial_fractions(p)
     roots = tbl.root_set.roots
     mults = tbl.root_set.multiplicities
     n = np.arange(1, N + 1)

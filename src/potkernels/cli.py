@@ -160,19 +160,18 @@ def _parse_f(doc, spec, window):
     return apply_potential(spec, h, window).values
 
 
-def _emit(outdir, name, writer, written, quiet):
+def _emit(outdir, name, writer, quiet):
     path = os.path.join(outdir, name)
     writer(path)
-    written.append(path)
     if not quiet:
         print(f"wrote {path}")
 
 
-def _run_validate(cfg, seed, outdir, quiet, written):
+def _run_validate(cfg, seed, outdir, quiet):
     spec = KernelSpec.from_config(cfg["spec"])
+    window = _window(cfg["window"])
     checks = []
     if isinstance(spec, KilledWalk):
-        window = _window(cfg["window"])
         result = killed_walk_potential(spec)
         checks.append(
             {
@@ -188,88 +187,78 @@ def _run_validate(cfg, seed, outdir, quiet, written):
                 "max_gap": _q(result.max_diag_gap, "derived"),
             }
         )
-        doc = {
-            "command": "validate",
-            "family": spec.family,
-            "window": {"l": window.l, "n": window.n},
-            "checks": checks,
-            "result": "ok",
-        }
-        _emit(outdir, "validate.json", lambda p: write_json(p, doc), written, quiet)
-        return doc
-
-    window = _window(cfg["window"])
-    U = build_kernel(spec, window)
-    inv = window_inverse(spec, window)
-    resid = float(np.abs(inv @ U.entries - np.eye(window.n)).max())
-    checks.append(
-        {
-            "citation": "window-inverse-identity",
-            "status": "ok",
-            "residual": _q(resid, "derived"),
-        }
-    )
-
-    dual = verify_duality(spec, window)
-    name, row, worst = dual.worst
-    if worst > dual.tol:
-        raise IdentityError(
-            "generator-duality", f"{name} residual {worst:.3e} at row {row}"
-        )
-    checks.append(
-        {
-            "citation": "generator-duality",
-            "status": "ok",
-            "residuals": {k: _q(v, "derived") for k, v in sorted(dual.checks.items())},
-            "excluded_boundary_rows": _q(dual.excluded_rows, "derived"),
-        }
-    )
-
-    G = build_generator(spec, window.l + window.n)
-    qrep = check_q_matrix(G)
-    if not qrep.ok:
-        raise IdentityError("q-matrix-signs", f"violations: {list(qrep.violations)}")
-    checks.append(
-        {
-            "citation": "q-matrix-signs",
-            "status": "ok",
-            "norm": _q(qrep.norm, "derived"),
-        }
-    )
-
-    mrep = check_inverse_m_matrix(U)
-    if not mrep.ok:
-        raise IdentityError(
-            "inverse-m-matrix", "window inverse violates the M-matrix sign pattern"
-        )
-    checks.append({"citation": "inverse-m-matrix", "status": "ok"})
-
-    if "f" in cfg:
-        fw = _parse_f(cfg["f"], spec, window)
-        r = rho(spec, fw, window)
+    else:
+        U = build_kernel(spec, window)
+        inv = window_inverse(spec, window)
+        resid = float(np.abs(inv @ U.entries - np.eye(window.n)).max())
         checks.append(
             {
-                "citation": "rho-quadratic-form",
+                "citation": "window-inverse-identity",
                 "status": "ok",
-                "rho": _q(r, "rho-quadratic-form"),
+                "residual": _q(resid, "derived"),
             }
         )
-        if spec.family == "min" and window.l == 0:
-            cls = classify_excessive(spec.s[: window.n], fw)
+
+        dual = verify_duality(spec, window)
+        name, row, worst = dual.worst
+        if worst > dual.tol:
+            raise IdentityError(
+                "generator-duality", f"{name} residual {worst:.3e} at row {row}"
+            )
+        checks.append(
+            {
+                "citation": "generator-duality",
+                "status": "ok",
+                "residuals": {k: _q(v, "derived") for k, v in sorted(dual.checks.items())},
+                "excluded_boundary_rows": _q(dual.excluded_rows, "derived"),
+            }
+        )
+
+        G = build_generator(spec, window.l + window.n)
+        qrep = check_q_matrix(G)
+        if not qrep.ok:
+            raise IdentityError("q-matrix-signs", f"violations: {list(qrep.violations)}")
+        checks.append(
+            {
+                "citation": "q-matrix-signs",
+                "status": "ok",
+                "norm": _q(qrep.norm, "derived"),
+            }
+        )
+
+        mrep = check_inverse_m_matrix(U)
+        if not mrep.ok:
+            raise IdentityError(
+                "inverse-m-matrix", "window inverse violates the M-matrix sign pattern"
+            )
+        checks.append({"citation": "inverse-m-matrix", "status": "ok"})
+
+        if "f" in cfg:
+            fw = _parse_f(cfg["f"], spec, window)
+            r = rho(spec, fw, window)
             checks.append(
                 {
-                    "citation": "excessive-ratio-test",
-                    "status": "ok" if cls.is_excessive else "failed",
-                    "is_excessive": cls.is_excessive,
-                    "is_potential": cls.is_potential,
-                    "delta": _q(cls.delta, "riesz-decomposition"),
+                    "citation": "rho-quadratic-form",
+                    "status": "ok",
+                    "rho": _q(r, "rho-quadratic-form"),
                 }
             )
-            if not cls.is_excessive:
-                raise IdentityError(
-                    "excessive-ratio-test",
-                    "difference ratios of f against s are not non-increasing",
+            if spec.family == "min" and window.l == 0:
+                cls = classify_excessive(spec.s[: window.n], fw)
+                checks.append(
+                    {
+                        "citation": "excessive-ratio-test",
+                        "status": "ok" if cls.is_excessive else "failed",
+                        "is_excessive": cls.is_excessive,
+                        "is_potential": cls.is_potential,
+                        "delta": _q(cls.delta, "riesz-decomposition"),
+                    }
                 )
+                if not cls.is_excessive:
+                    raise IdentityError(
+                        "excessive-ratio-test",
+                        "difference ratios of f against s are not non-increasing",
+                    )
 
     doc = {
         "command": "validate",
@@ -278,11 +267,11 @@ def _run_validate(cfg, seed, outdir, quiet, written):
         "checks": checks,
         "result": "ok",
     }
-    _emit(outdir, "validate.json", lambda p: write_json(p, doc), written, quiet)
+    _emit(outdir, "validate.json", lambda p: write_json(p, doc), quiet)
     return doc
 
 
-def _run_invert(cfg, seed, outdir, quiet, written):
+def _run_invert(cfg, seed, outdir, quiet):
     spec = KernelSpec.from_config(cfg["spec"])
     window = _window(cfg["window"])
     U = build_kernel(spec, window)
@@ -293,7 +282,6 @@ def _run_invert(cfg, seed, outdir, quiet, written):
         outdir,
         "inverse.csv",
         lambda p: write_matrix_csv(p, inv, labels, labels, ("i", "j", "value")),
-        written,
         quiet,
     )
     doc = {
@@ -303,11 +291,11 @@ def _run_invert(cfg, seed, outdir, quiet, written):
         "residual": _q(resid, "window-inverse-identity"),
         "artifacts": {"inverse.csv": "window-inverse-identity"},
     }
-    _emit(outdir, "invert.json", lambda p: write_json(p, doc), written, quiet)
+    _emit(outdir, "invert.json", lambda p: write_json(p, doc), quiet)
     return doc
 
 
-def _run_phi(cfg, seed, outdir, quiet, written):
+def _run_phi(cfg, seed, outdir, quiet):
     p = np.asarray(cfg["p"], dtype=float)
     n_terms = cfg["n_terms"]
     seq = phi_recursive(p, n_terms)
@@ -320,7 +308,6 @@ def _run_phi(cfg, seed, outdir, quiet, written):
         outdir,
         "phi.csv",
         lambda p_: write_table_csv(p_, header, columns),
-        written,
         quiet,
     )
     doc = {
@@ -332,11 +319,11 @@ def _run_phi(cfg, seed, outdir, quiet, written):
     }
     if seq.c1 is not None:
         doc["c1"] = _q(seq.c1, "derived")
-    _emit(outdir, "phi.json", lambda p_: write_json(p_, doc), written, quiet)
+    _emit(outdir, "phi.json", lambda p_: write_json(p_, doc), quiet)
     return doc
 
 
-def _run_cstar(cfg, seed, outdir, quiet, written):
+def _run_cstar(cfg, seed, outdir, quiet):
     p = np.asarray(cfg["p"], dtype=float)
     res = c_star(p)
     doc = {
@@ -348,7 +335,7 @@ def _run_cstar(cfg, seed, outdir, quiet, written):
         "lower_bound": _q(res.lower, "cstar-bounds"),
         "upper_bound": _q(res.upper, "cstar-bounds"),
     }
-    _emit(outdir, "cstar.json", lambda p_: write_json(p_, doc), written, quiet)
+    _emit(outdir, "cstar.json", lambda p_: write_json(p_, doc), quiet)
     return doc
 
 
@@ -360,7 +347,7 @@ def _hypothesis_kwargs(doc):
     return f_class, alpha, kwargs
 
 
-def _run_predict(cfg, seed, outdir, quiet, written):
+def _run_predict(cfg, seed, outdir, quiet):
     spec = KernelSpec.from_config(cfg["spec"])
     f_class, alpha, kwargs = _hypothesis_kwargs(cfg["hypotheses"])
     outcome = predict(spec, f_class, alpha, **kwargs)
@@ -369,11 +356,11 @@ def _run_predict(cfg, seed, outdir, quiet, written):
         "family": spec.family,
         "prediction": outcome.to_json(),
     }
-    _emit(outdir, "predict.json", lambda p_: write_json(p_, doc), written, quiet)
+    _emit(outdir, "predict.json", lambda p_: write_json(p_, doc), quiet)
     return doc
 
 
-def _run_simulate(cfg, seed, outdir, quiet, written):
+def _run_simulate(cfg, seed, outdir, quiet):
     spec = KernelSpec.from_config(cfg["spec"])
     n = cfg["n"]
     l = cfg.get("l", 0)
@@ -390,7 +377,6 @@ def _run_simulate(cfg, seed, outdir, quiet, written):
         lambda p_: write_matrix_csv(
             p_, batch.values, range(1, trials + 1), labels, ("trial", "index", "value")
         ),
-        written,
         quiet,
     )
     expected = batch.alpha * (kernel_diagonal(spec, l + n)[l:] + batch.a_vec**2)
@@ -403,7 +389,6 @@ def _run_simulate(cfg, seed, outdir, quiet, written):
             ("index", "observed_mean", "expected_mean"),
             (labels, observed, expected),
         ),
-        written,
         quiet,
     )
     doc = {
@@ -422,11 +407,11 @@ def _run_simulate(cfg, seed, outdir, quiet, written):
             "marginals.csv": "permanental-marginal-mean",
         },
     }
-    _emit(outdir, "simulate.json", lambda p_: write_json(p_, doc), written, quiet)
+    _emit(outdir, "simulate.json", lambda p_: write_json(p_, doc), quiet)
     return doc
 
 
-def _run_limsup(cfg, seed, outdir, quiet, written):
+def _run_limsup(cfg, seed, outdir, quiet):
     mode = cfg.get("mode", "permanental")
     if mode not in _LIMSUP_MODES:
         raise ConfigError(f"mode must be one of {_LIMSUP_MODES}")
@@ -484,15 +469,14 @@ def _run_limsup(cfg, seed, outdir, quiet, written):
         outdir,
         "trend.csv",
         lambda p_: write_table_csv(p_, ("checkpoint", "median", "q25", "q75"), columns),
-        written,
         quiet,
     )
     doc["artifacts"] = {"trend.csv": "trend-direction"}
-    _emit(outdir, "limsup.json", lambda p_: write_json(p_, doc), written, quiet)
+    _emit(outdir, "limsup.json", lambda p_: write_json(p_, doc), quiet)
     return doc
 
 
-def _run_symmetrize(cfg, seed, outdir, quiet, written):
+def _run_symmetrize(cfg, seed, outdir, quiet):
     spec = KernelSpec.from_config(cfg["spec"])
     window = _window(cfg["window"])
     fw = _parse_f(cfg["f"], spec, window)
@@ -504,7 +488,6 @@ def _run_symmetrize(cfg, seed, outdir, quiet, written):
         outdir,
         "a_vector.csv",
         lambda p_: write_sequence_csv(p_, labels, ledger.a_vec, "a"),
-        written,
         quiet,
     )
     doc = {
@@ -522,7 +505,7 @@ def _run_symmetrize(cfg, seed, outdir, quiet, written):
             "lower": _q(weights.lower, "sandwich-weights"),
             "slack": _q(weights.slack, "sandwich-weights"),
         }
-    _emit(outdir, "symmetrize.json", lambda p_: write_json(p_, doc), written, quiet)
+    _emit(outdir, "symmetrize.json", lambda p_: write_json(p_, doc), quiet)
     return doc
 
 
@@ -577,8 +560,7 @@ def main(argv=None):
             raise ConfigError(f"{command} needs a seed (config field or --seed)")
         outdir = args.out or cfg.get("out") or os.environ.get(OUT_ENV) or os.getcwd()
         os.makedirs(outdir, exist_ok=True)
-        written = []
-        _RUNNERS[command](cfg, seed, outdir, args.quiet, written)
+        _RUNNERS[command](cfg, seed, outdir, args.quiet)
     except IdentityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,14 +17,15 @@ functions call after checking `admissibility()`:
 - `hypotheses` and `prediction(f_class, alpha, **declared)`: the limit
   hypotheses that `normalizers.predict` reads, and the theorem they select.
 
+A family's config is its dataclass fields: `to_config` writes them under a
+`family` tag and `KernelSpec.from_config` reads them back.
+
 The shifted families delegate to the family they are built from, `base`:
 `ShiftedScaled` is `ScaledMinKernel(s + Delta, b)`, and `AR1Shifted` and
 `ARkGen` are AR1 and ARk with the first innovation scaled.
 """
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from numbers import Integral, Real
@@ -50,6 +51,13 @@ OVERFLOW_LIMIT = 1e300
 CLOSED_FORM_TOL = 1e-12
 DENSE_CHECK_TOL = 1e-10
 CONDITION_LIMIT = 1e12
+DUALITY_TOL = 1e-8
+
+# sign tolerances of the generator and inverse-kernel patterns, and the
+# least -row sum on interior rows that counts as bounded away from zero
+Q_SIGN_TOL = 1e-12
+Q_BOUNDED_THRESHOLD = 0.0
+M_SIGN_TOL = 1e-9
 
 # a spread of at most this many ulp of the magnitude of a stored sequence is
 # rounding, so such a sequence of coefficients or gaps counts as constant
@@ -115,8 +123,9 @@ def _one_pole(a, u, y0):
     coefficients are formed and nothing is divided, so a in [0, 1] cannot
     overflow. A sequence of at most one block runs the plain recurrence.
     Rows never mix, so the path streams filter a wide chunk in row tiles
-    of ROW_TILE rows, one call per tile on one helper thread
-    (`_filtered_chunks`), with the values of one call on the whole chunk.
+    of ROW_TILE rows, one call per tile on a helper thread that each wide
+    stream owns (`_filtered_chunks`), with the values of one call on the
+    whole chunk.
     """
     a = _steady(a)
     if np.ndim(a) == 0:
@@ -152,27 +161,6 @@ def _part(c, j0, m):
     return c if np.ndim(c) == 0 else c[j0 : j0 + m]
 
 
-_helper = None
-_helper_lock = threading.Lock()
-
-
-def _forget_helper():
-    # a forked child inherits the executor but not its thread
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_helper)
-
-
-def _filter_thread():
-    global _helper
-    with _helper_lock:
-        if _helper is None:
-            _helper = ThreadPoolExecutor(1, thread_name_prefix="potkernels-filter")
-        return _helper
-
-
 def _fill(out, rows, filt, g, j0):
     out[rows] = filt(g, j0, rows)
 
@@ -185,29 +173,28 @@ def _filtered_chunks(rng, rows, n_max, chunk, filt):
     chunk. A chunk of at most ROW_TILE rows is one draw and one call. A
     wider chunk is drawn in tiles of ROW_TILE rows, each a block of
     consecutive rows, so the draws are the values of one (rows, m) draw.
-    While this thread draws tile k + 1, one helper thread filters tile k
-    into the chunk; at most one tile is in flight, every tile is done
-    before the chunk is yielded, and only this thread touches rng.
+    While this thread draws tile k + 1, a helper thread that the stream
+    owns filters tile k into the chunk; at most one tile is in flight,
+    every tile is done before the chunk is yielded, and only this thread
+    touches rng. Leaving the stream, by a raise or by closing it, waits
+    for a pending tile and ends the helper.
     """
-    for j0, m in _chunks(n_max, chunk):
-        if rows <= ROW_TILE:
+    if rows <= ROW_TILE:
+        for j0, m in _chunks(n_max, chunk):
             yield filt(rng.standard_normal((rows, m)), j0, slice(None))
-            continue
-        out = np.empty((rows, m))
-        pending = None
-        try:
+        return
+    with ThreadPoolExecutor(1, thread_name_prefix="potkernels-filter") as helper:
+        for j0, m in _chunks(n_max, chunk):
+            out = np.empty((rows, m))
+            pending = None
             for lo in range(0, rows, ROW_TILE):
                 tile = slice(lo, min(lo + ROW_TILE, rows))
                 g = rng.standard_normal((tile.stop - lo, m))
                 if pending is not None:
                     pending.result()
-                pending = _filter_thread().submit(_fill, out, tile, filt, g, j0)
+                pending = helper.submit(_fill, out, tile, filt, g, j0)
             pending.result()
-        finally:
-            # a draw that raises must not leave a tile writing into `out`
-            if pending is not None:
-                wait((pending,))
-        yield out
+            yield out
 
 
 def _stream_one_pole(a, scale, y0, rng, rows, n_max, chunk, first_scale=1.0):
@@ -342,7 +329,11 @@ class KernelSpec:
         return [getattr(self, f.name) for f in fields(self)]
 
     def to_config(self):
-        raise NotImplementedError
+        """The family tag and every dataclass field as JSON-ready values."""
+        doc = {"family": self.family}
+        for f in fields(self):
+            doc[f.name] = _config_value(getattr(self, f.name))
+        return doc
 
     def path_stream(self, n_max, rng, rows, chunk):
         return None
@@ -357,7 +348,9 @@ class KernelSpec:
     def from_config(doc):
         """Spec from a config object; a malformed one raises ValueError.
 
-        The fields are exactly the family's dataclass fields, all required.
+        The fields are exactly the family's dataclass fields, all required,
+        as `to_config` writes them; a field annotated KernelSpec is a nested
+        config.
         Scalar fields must hold numbers of their annotated type, and `dict`
         fields objects of numbers; arrays are checked where they are
         converted.
@@ -380,7 +373,21 @@ class KernelSpec:
                     f"{fam} kernel field {f.name!r} must be of type "
                     f"{f.type.__name__}, got {doc[f.name]!r:.40}"
                 )
-        return cls._from_config(doc)
+        return cls(**{
+            f.name: KernelSpec.from_config(doc[f.name]) if f.type is KernelSpec
+            else doc[f.name]
+            for f in fields(cls)
+        })
+
+
+def _config_value(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, KernelSpec):
+        return value.to_config()
+    if isinstance(value, dict):
+        return {str(k): v for k, v in sorted(value.items())}
+    return value
 
 
 class _Derived(KernelSpec):
@@ -516,13 +523,6 @@ class MinKernel(KernelSpec):
         object.__setattr__(self, "s", _as_float_array(self.s, "s"))
         _require_increasing_positive(self.s)
 
-    def to_config(self):
-        return {"family": self.family, "s": self.s.tolist()}
-
-    @classmethod
-    def _from_config(cls, doc):
-        return cls(s=doc["s"])
-
     def window_entries(self, window):
         return _min_entries(self.s, window)
 
@@ -561,13 +561,6 @@ class ScaledMinKernel(KernelSpec):
         if np.any(self.b <= 0):
             raise ValueError("b must be positive")
 
-    def to_config(self):
-        return {"family": self.family, "s": self.s.tolist(), "b": self.b.tolist()}
-
-    @classmethod
-    def _from_config(cls, doc):
-        return cls(s=doc["s"], b=doc["b"])
-
     def window_entries(self, window):
         b = self.b[window.l : window.l + window.n]
         return _min_entries(self.s, window) / np.outer(b, b)
@@ -605,13 +598,6 @@ class ExpKernel(KernelSpec):
         object.__setattr__(self, "v", _as_float_array(self.v, "v"))
         if np.any(np.diff(self.v) <= 0):
             raise ValueError("v must be strictly increasing")
-
-    def to_config(self):
-        return {"family": self.family, "v": self.v.tolist()}
-
-    @classmethod
-    def _from_config(cls, doc):
-        return cls(v=doc["v"])
 
     def as_scaled_min(self):
         """Equivalent ScaledMinKernel with b = e^v, s = e^{2v}.
@@ -682,13 +668,6 @@ class AR1(KernelSpec):
         if np.any(np.diff(self.x) < 0):
             raise ValueError("x must be non-decreasing")
 
-    def to_config(self):
-        return {"family": self.family, "x": self.x.tolist()}
-
-    @classmethod
-    def _from_config(cls, doc):
-        return cls(x=doc["x"])
-
     def diagonal(self, n):
         """U[j,j] for j = 1..n via U[j+1,j+1] = x[j]^2 U[j,j] + 1."""
         if n > self.x.size + 1:
@@ -748,17 +727,6 @@ class AR1Shifted(_FirstInnovationScaled):
         if self.delta_tilde == 0.0:
             raise ValueError("delta_tilde must be nonzero")
 
-    def to_config(self):
-        return {
-            "family": self.family,
-            "x": self.x.tolist(),
-            "delta_tilde": self.delta_tilde,
-        }
-
-    @classmethod
-    def _from_config(cls, doc):
-        return cls(x=doc["x"], delta_tilde=doc["delta_tilde"])
-
     @cached_property
     def base(self):
         return AR1(self.x)
@@ -811,13 +779,6 @@ class ARk(KernelSpec):
     @property
     def p_non_increasing(self):
         return bool(np.all(np.diff(self.p) <= 0))
-
-    def to_config(self):
-        return {"family": self.family, "p": self.p.tolist()}
-
-    @classmethod
-    def _from_config(cls, doc):
-        return cls(p=doc["p"])
 
     def window_entries(self, window):
         hi = window.l + window.n
@@ -883,13 +844,6 @@ class ARkGen(_FirstInnovationScaled):
         if self.a_sq <= 0:
             raise ValueError("a_sq must be positive")
 
-    def to_config(self):
-        return {"family": self.family, "p": self.p.tolist(), "a_sq": self.a_sq}
-
-    @classmethod
-    def _from_config(cls, doc):
-        return cls(p=doc["p"], a_sq=doc["a_sq"])
-
     @cached_property
     def base(self):
         return ARk(self.p)
@@ -939,18 +893,6 @@ class ShiftedScaled(_Derived):
                 f"Delta = {self.Delta} must exceed -s1 = {-self.s[0]}",
             )
 
-    def to_config(self):
-        return {
-            "family": self.family,
-            "s": self.s.tolist(),
-            "b": self.b.tolist(),
-            "Delta": self.Delta,
-        }
-
-    @classmethod
-    def _from_config(cls, doc):
-        return cls(s=doc["s"], b=doc["b"], Delta=doc["Delta"])
-
     @cached_property
     def base(self):
         return ScaledMinKernel(self.s + self.Delta, self.b)
@@ -987,24 +929,6 @@ class RankOneUpdate(KernelSpec):
         object.__setattr__(self, "b", float(self.b))
         if self.k < 1 or self.l < 1 or self.k == self.l:
             raise ValueError("k, l must be distinct 1-based indices")
-
-    def to_config(self):
-        return {
-            "family": self.family,
-            "base": self.base.to_config(),
-            "k": self.k,
-            "l": self.l,
-            "b": self.b,
-        }
-
-    @classmethod
-    def _from_config(cls, doc):
-        return cls(
-            base=KernelSpec.from_config(doc["base"]),
-            k=doc["k"],
-            l=doc["l"],
-            b=doc["b"],
-        )
 
     def window_entries(self, window):
         # the update references absolute indices k, l; build the base on a
@@ -1058,19 +982,6 @@ class KilledWalk(KernelSpec):
             raise ValueError("beta must be positive")
         if self.radius < 1:
             raise ValueError("radius must be >= 1")
-
-    def to_config(self):
-        return {
-            "family": self.family,
-            "step_rates": {str(d): r for d, r in sorted(self.step_rates.items())},
-            "beta": self.beta,
-            "radius": self.radius,
-        }
-
-    @classmethod
-    def _from_config(cls, doc):
-        rates = {int(d): r for d, r in doc["step_rates"].items()}
-        return cls(step_rates=rates, beta=doc["beta"], radius=doc["radius"])
 
     def window_entries(self, window):
         raise TypeError("KilledWalk lives on Z; use killed_walk_potential")
@@ -1202,7 +1113,7 @@ def min_window_inverse(s, window):
     return _tridiag(diag, -a[1:])
 
 
-def window_inverse(spec, window, check=True):
+def window_inverse(spec, window):
     """Inverse of the kernel window; closed form for min kernels.
 
     The closed form is cross-checked against a dense solve; the dense path
@@ -1211,14 +1122,13 @@ def window_inverse(spec, window, check=True):
     kernel = build_kernel(spec, window)
     if isinstance(spec, MinKernel):
         inv = min_window_inverse(spec.s, window)
-        if check:
-            dense = np.linalg.solve(kernel.entries, np.eye(window.n))
-            gap = np.abs(inv - dense).max()
-            if gap > DENSE_CHECK_TOL:
-                raise IdentityError(
-                    "min-window-inverse",
-                    f"closed form differs from dense solve by {gap:.3e}",
-                )
+        dense = np.linalg.solve(kernel.entries, np.eye(window.n))
+        gap = np.abs(inv - dense).max()
+        if gap > DENSE_CHECK_TOL:
+            raise IdentityError(
+                "min-window-inverse",
+                f"closed form differs from dense solve by {gap:.3e}",
+            )
         return inv
     K = kernel.entries
     try:
@@ -1231,13 +1141,12 @@ def window_inverse(spec, window, check=True):
             "window-inverse-identity",
             f"condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:g}",
         )
-    if check:
-        gap = np.abs(inv @ K - np.eye(K.shape[0])).max()
-        if gap > DENSE_CHECK_TOL * max(1.0, cond / 1e2):
-            raise IdentityError(
-                "window-inverse-identity",
-                f"inverse residual {gap:.3e} with condition {cond:.3e}",
-            )
+    gap = np.abs(inv @ K - np.eye(K.shape[0])).max()
+    if gap > DENSE_CHECK_TOL * max(1.0, cond / 1e2):
+        raise IdentityError(
+            "window-inverse-identity",
+            f"inverse residual {gap:.3e} with condition {cond:.3e}",
+        )
     return inv
 
 
@@ -1257,7 +1166,7 @@ class DualityReport:
         return all(v <= self.tol for v in self.checks.values())
 
 
-def verify_duality(spec, window, tol=1e-8):
+def verify_duality(spec, window):
     """Residuals of the kernel/generator dualities on a truncation.
 
     Runs Q U + I on rows whose band lies inside the truncation, the band
@@ -1300,7 +1209,9 @@ def verify_duality(spec, window, tol=1e-8):
             r = int(np.unravel_index(np.argmax(inner), inner.shape)[0])
             worst = ("band-factorization", r + 1, checks["band-factorization"])
 
-    return DualityReport(checks=checks, excluded_rows=excluded, worst=worst, tol=tol)
+    return DualityReport(
+        checks=checks, excluded_rows=excluded, worst=worst, tol=DUALITY_TOL
+    )
 
 
 @dataclass(frozen=True)
@@ -1317,7 +1228,7 @@ class QMatrixReport:
         return self.diag_negative and self.offdiag_nonnegative and self.row_sums_nonpositive
 
 
-def check_q_matrix(G, bounded_threshold=0.0, sign_tol=1e-12):
+def check_q_matrix(G):
     """Sign-pattern and row-sum diagnostics for a generator truncation."""
     Q = G.entries
     diag = np.diag(Q)
@@ -1327,18 +1238,18 @@ def check_q_matrix(G, bounded_threshold=0.0, sign_tol=1e-12):
     diag_ok = bool(np.all(diag < 0))
     if not diag_ok:
         violations.append(("diagonal", int(np.argmax(diag >= 0)) + 1))
-    off_ok = bool(np.all(off >= -sign_tol))
+    off_ok = bool(np.all(off >= -Q_SIGN_TOL))
     if not off_ok:
         i, j = np.unravel_index(np.argmin(off), off.shape)
         violations.append(("off-diagonal", (int(i) + 1, int(j) + 1)))
     rs = G.row_sums
     interior = G.interior_rows
-    rows_ok = bool(np.all(rs[interior] <= sign_tol)) if interior.size else True
+    rows_ok = bool(np.all(rs[interior] <= Q_SIGN_TOL)) if interior.size else True
     if not rows_ok:
-        violations.append(("row-sum", int(interior[np.argmax(rs[interior] > sign_tol)]) + 1))
+        violations.append(("row-sum", int(interior[np.argmax(rs[interior] > Q_SIGN_TOL)]) + 1))
     norm = float(np.abs(Q).sum(axis=1).max())
     bounded = (
-        bool(np.all(-rs[interior] >= bounded_threshold)) if interior.size else False
+        bool(np.all(-rs[interior] >= Q_BOUNDED_THRESHOLD)) if interior.size else False
     )
     return QMatrixReport(
         diag_negative=diag_ok,
@@ -1362,7 +1273,7 @@ class InverseMReport:
         return self.diag_nonnegative and self.offdiag_nonpositive and self.row_sums_nonnegative
 
 
-def check_inverse_m_matrix(entries, sign_tol=1e-9):
+def check_inverse_m_matrix(entries):
     """Invert a kernel window and test the M-matrix sign pattern."""
     if isinstance(entries, DenseKernelWindow):
         entries = entries.entries
@@ -1372,7 +1283,7 @@ def check_inverse_m_matrix(entries, sign_tol=1e-9):
     except np.linalg.LinAlgError as exc:
         raise IdentityError("inverse-m-matrix", f"singular kernel window: {exc}")
     scale = max(1.0, np.abs(inv).max())
-    tol = sign_tol * scale
+    tol = M_SIGN_TOL * scale
     off = inv.copy()
     np.fill_diagonal(off, 0.0)
     return InverseMReport(

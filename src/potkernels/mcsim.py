@@ -14,8 +14,8 @@ are independent and insensitive to execution order, and identical
 configurations reproduce bitwise-identical reports.
 
 The Gamma-marginal KS harness draws its paths through the same streams; a
-wide batch is drawn in row tiles while one helper thread filters the tile
-before (`kernels._filtered_chunks`). Its KS supremum takes the Gamma CDF at
+wide batch is drawn in row tiles while a helper thread that the stream
+owns filters the tile before (`kernels._filtered_chunks`). Its KS supremum takes the Gamma CDF at
 knots every KS_KNOT_STRIDE sorted points and then only on the intervals
 between knots where the supremum can sit (`_ks_gamma`).
 """

@@ -349,6 +349,10 @@ def assert_stream_equal(got, ref):
         assert np.array_equal(g, r)
 
 
+def filter_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("potkernels-filter")]
+
+
 class TestTiledStreams:
     @pytest.mark.parametrize("tile", [1, 2, 3])
     @pytest.mark.parametrize("family", sorted(STREAMED))
@@ -382,15 +386,22 @@ class TestTiledStreams:
             with pytest.raises(RuntimeError, match="filter failed"):
                 next(stream)
         assert ran_on and threading.current_thread() not in ran_on
-        # the helper is free again, and there is one
+        # a later stream runs as before, and no helper outlives its stream
         ref = untiled_stream(STREAMED["ar1"], 5, 1, monkeypatch)
         got = list(STREAMED["ar1"].path_stream(STREAM_N, CallerThreadRng(1), 5, 7))
         assert_stream_equal(got, ref)
-        helpers = [t for t in threading.enumerate() if t.name.startswith("potkernels")]
-        assert len(helpers) == 1
+        assert filter_threads() == []
+
+    def test_closed_stream_ends_its_helper(self, monkeypatch):
+        monkeypatch.setattr(kernels, "ROW_TILE", 2)
+        stream = STREAMED["ar1"].path_stream(STREAM_N, CallerThreadRng(1), 5, 7)
+        next(stream)
+        assert len(filter_threads()) == 1
+        stream.close()
+        assert filter_threads() == []
 
     def test_forked_child_starts_its_own_helper(self, monkeypatch):
-        # a child forked after the helper ran inherits no thread to run it
+        # a child forked after a wide stream ran must still stream
         monkeypatch.setattr(kernels, "ROW_TILE", 2)
         spec = STREAMED["ar1"]
         list(spec.path_stream(STREAM_N, CallerThreadRng(1), 5, STREAM_CHUNK))
@@ -403,7 +414,7 @@ class TestTiledStreams:
             child.kill()
         assert child.exitcode == 0
 
-    def test_concurrent_callers_share_one_helper(self, monkeypatch):
+    def test_concurrent_streams_keep_their_own_rows_and_state(self, monkeypatch):
         # more callers than cores, switching often: each stream's rows and
         # carried state must stay its own
         cases = [(family, 7 + i, 11 + i) for i, family in enumerate(sorted(STREAMED))]
@@ -649,26 +660,35 @@ class TestSpecEquality:
         assert a != b
 
 
+ROUND_TRIP_SPECS = [
+    MinKernel(s=[1.0, 2.5, 4.0]),
+    ScaledMinKernel(s=[1.0, 2.0, 3.0], b=[1.0, 0.5, 2.0]),
+    ShiftedScaled(s=[1.0, 2.0, 3.0], b=[1.0, 1.0, 1.0], Delta=0.5),
+    ExpKernel(v=[0.0, 0.7, 1.4]),
+    AR1(x=[0.5, 0.5]),
+    AR1Shifted(x=[0.5, 0.5], delta_tilde=1.5),
+    ARk(p=(0.5, 0.25)),
+    ARkGen(p=(0.5, 0.25), a_sq=0.5),
+    KilledWalk(step_rates={-1: 0.5, 1: 0.5}, beta=1.0, radius=10),
+    RankOneUpdate(base=MinKernel(s=[1.0, 2.0, 3.0]), k=1, l=3, b=0.25),
+]
+
+
 class TestConfigRoundTrip:
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            MinKernel(s=[1.0, 2.5, 4.0]),
-            ScaledMinKernel(s=[1.0, 2.0, 3.0], b=[1.0, 0.5, 2.0]),
-            ShiftedScaled(s=[1.0, 2.0, 3.0], b=[1.0, 1.0, 1.0], Delta=0.5),
-            ExpKernel(v=[0.0, 0.7, 1.4]),
-            AR1(x=[0.5, 0.5]),
-            AR1Shifted(x=[0.5, 0.5], delta_tilde=1.5),
-            ARk(p=(0.5, 0.25)),
-            ARkGen(p=(0.5, 0.25), a_sq=0.5),
-            KilledWalk(step_rates={-1: 0.5, 1: 0.5}, beta=1.0, radius=10),
-        ],
-    )
+    @pytest.mark.parametrize("spec", ROUND_TRIP_SPECS)
     def test_to_from_config(self, spec):
         doc = spec.to_config()
         clone = KernelSpec.from_config(doc)
         assert type(clone) is type(spec)
+        assert clone == spec
         assert clone.to_config() == doc
+
+    def test_covers_every_family(self):
+        assert {spec.family for spec in ROUND_TRIP_SPECS} == set(kernels._FAMILIES)
+
+    def test_rates_are_written_in_offset_order(self):
+        walk = KilledWalk(step_rates={10: 0.25, 2: 0.5, -1: 0.5}, beta=1.0, radius=12)
+        assert list(walk.to_config()["step_rates"]) == ["-1", "2", "10"]
 
     @pytest.mark.parametrize(
         "doc, named",
