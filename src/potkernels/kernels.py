@@ -17,6 +17,11 @@ functions call after checking `admissibility()`:
 - `hypotheses` and `prediction(f_class, alpha, **declared)`: the limit
   hypotheses that `normalizers.predict` reads, and the theorem they select.
 
+The one-pole families (min, exp, AR1, AR1Shifted) state their Gaussian
+chain once, `_chain(n)`; its tridiagonal precision gives `generator(size)`
+and the closed inverses of `window_inverse`, and ScaledMinKernel scales
+that of the min chain of s by b b^T.
+
 A family's config is its dataclass fields: `to_config` writes them under a
 `family` tag and `KernelSpec.from_config` reads them back.
 
@@ -48,7 +53,6 @@ from .normalizers import (
 # inverses divide by, so builders refuse rather than degrade.
 OVERFLOW_LIMIT = 1e300
 
-CLOSED_FORM_TOL = 1e-12
 DENSE_CHECK_TOL = 1e-10
 CONDITION_LIMIT = 1e12
 DUALITY_TOL = 1e-8
@@ -274,15 +278,6 @@ class GeneratorMatrix:
     def row_sums(self):
         return self.entries.sum(axis=1)
 
-    def offdiag_sign_summary(self):
-        off = self.entries.copy()
-        np.fill_diagonal(off, 0.0)
-        return {
-            "negative": int((off < 0).sum()),
-            "zero": int((off == 0).sum()),
-            "positive": int((off > 0).sum()),
-        }
-
 
 # ---------------------------------------------------------------------------
 # kernel family specs
@@ -344,6 +339,10 @@ class KernelSpec:
     def admissibility(self):
         return _NO_CONSTRAINT
 
+    def _window_precision(self, window):
+        # the closed inverse of a window, or None where only a dense solve exists
+        return None
+
     @staticmethod
     def from_config(doc):
         """Spec from a config object; a malformed one raises ValueError.
@@ -351,9 +350,9 @@ class KernelSpec:
         The fields are exactly the family's dataclass fields, all required,
         as `to_config` writes them; a field annotated KernelSpec is a nested
         config.
-        Scalar fields must hold numbers of their annotated type, and `dict`
-        fields objects of numbers; arrays are checked where they are
-        converted.
+        Scalar fields must hold numbers of their annotated type, `dict`
+        fields objects of numbers keyed by integers, and KernelSpec fields
+        config objects; arrays are checked where they are converted.
         """
         fam = doc.get("family") if isinstance(doc, dict) else None
         if not isinstance(fam, str):
@@ -370,8 +369,8 @@ class KernelSpec:
                 raise ValueError(f"{fam} kernel config needs {f.name!r}")
             if not _config_value_ok(doc[f.name], f.type):
                 raise ValueError(
-                    f"{fam} kernel field {f.name!r} must be of type "
-                    f"{f.type.__name__}, got {doc[f.name]!r:.40}"
+                    f"{fam} kernel field {f.name!r} must be "
+                    f"{_KIND_TEXT[f.type]}, got {doc[f.name]!r:.40}"
                 )
         return cls(**{
             f.name: KernelSpec.from_config(doc[f.name]) if f.type is KernelSpec
@@ -409,6 +408,9 @@ class _Derived(KernelSpec):
 
     def diagonal(self, n):
         return self.base.diagonal(n)
+
+    def _window_precision(self, window):
+        return self.base._window_precision(window)
 
     def path_stream(self, n_max, rng, rows, chunk):
         return self.base.path_stream(n_max, rng, rows, chunk)
@@ -449,14 +451,25 @@ def _is_real(value):
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
+_KIND_TEXT = {
+    float: "a number",
+    int: "an integer",
+    dict: "an object of numbers keyed by integers",
+    KernelSpec: "a kernel config object",
+}
+
+
 def _config_value_ok(value, kind):
     if kind is float:
         return _is_real(value)
     if kind is int:
         return isinstance(value, Integral) and not isinstance(value, bool)
     if kind is dict:
-        return isinstance(value, dict) and all(map(_is_real, value.values()))
-    return True
+        # numbers at integer keys, which JSON writes as strings
+        return isinstance(value, dict) and all(
+            str(k).removeprefix("-").isdecimal() and _is_real(v) for k, v in value.items()
+        )
+    return kind is not KernelSpec or isinstance(value, dict)
 
 
 def _require_increasing_positive(s, name="s"):
@@ -475,24 +488,35 @@ def _min_entries(s, window):
     return s[np.minimum.outer(idx, idx)]
 
 
-def _min_generator(s, size):
-    # -Q with a[0] = 1/s1, a[m] = 1/(s_{m+1} - s_m)
-    if s.size < size + 1:
-        raise ValueError("generator truncation needs len(s) >= size + 1")
-    gaps = np.empty(size + 1)
-    gaps[0] = s[0]
-    gaps[1:] = np.diff(s[: size + 1])
-    a = 1.0 / gaps
-    return _tridiag(a[:size] + a[1 : size + 1], -a[1:size])
+def _chain_precision(a, w):
+    """Precision L^T diag(w) L of the chain y[j] = a[j] y[j-1] + g[j]/sqrt(w[j]).
+
+    L is unit lower bidiagonal with -a[j] at [j, j-1]; a[0] is unused and
+    w[0] is the inverse variance of y[0] (Rue & Held, Gaussian Markov
+    Random Fields, 2005, ch. 2).
+    """
+    P = np.diag(w + np.append(a[1:] ** 2 * w[1:], 0.0))
+    i = np.arange(w.size - 1)
+    P[i, i + 1] = P[i + 1, i] = -a[1:] * w[1:]
+    return P
 
 
-def _tridiag(diag, off):
-    n = diag.size
-    M = np.zeros((n, n))
-    M[np.arange(n), np.arange(n)] = diag
-    M[np.arange(n - 1), np.arange(1, n)] = off
-    M[np.arange(1, n), np.arange(n - 1)] = off
-    return M
+class _OnePole(KernelSpec):
+    """A family whose Gaussian sequence is the one-pole chain (a, w) = `_chain(n)`.
+
+    The generator is minus the leading block of the chain precision over
+    one more index. A window's precision is that of its own chain: w[0]
+    is 1/U[l+1, l+1], the rest as in the whole chain.
+    """
+
+    def generator(self, size):
+        return -_chain_precision(*self._chain(size + 1))[:size, :size], 1
+
+    def _window_precision(self, window):
+        l = window.l
+        a, w = self._chain(l + window.n)
+        w0 = 1.0 / self.diagonal(l + 1)[l]
+        return _chain_precision(a[l:], np.concatenate(([w0], w[l + 1 :])))
 
 
 def _stored(values, n, name):
@@ -512,7 +536,7 @@ def _stream_min(s, b, rng, rows, n_max, chunk):
 
 @_register
 @dataclass(frozen=True, eq=False)
-class MinKernel(KernelSpec):
+class MinKernel(_OnePole):
     """V[j,k] = s[min(j,k)] for strictly increasing positive s."""
 
     s: np.ndarray
@@ -526,8 +550,9 @@ class MinKernel(KernelSpec):
     def window_entries(self, window):
         return _min_entries(self.s, window)
 
-    def generator(self, size):
-        return -_min_generator(self.s, size), 1
+    def _chain(self, n):
+        # independent increments of variance s[j] - s[j-1], from s[-1] = 0
+        return np.ones(n), 1.0 / np.diff(_stored(self.s, n, "s"), prepend=0.0)
 
     def diagonal(self, n):
         return _stored(self.s, n, "s").copy()
@@ -566,10 +591,13 @@ class ScaledMinKernel(KernelSpec):
         return _min_entries(self.s, window) / np.outer(b, b)
 
     def generator(self, size):
-        if self.b.size < size:
-            raise ValueError("generator truncation needs len(b) >= size")
-        b = self.b[:size]
-        return -(_min_generator(self.s, size) * np.outer(b, b)), 1
+        # the min chain of s divided by b: its precision times b b^T
+        Q, band = MinKernel(self.s).generator(size)
+        return Q * np.outer(self.b[:size], self.b[:size]), band
+
+    def _window_precision(self, window):
+        b = self.b[window.l : window.l + window.n]
+        return MinKernel(self.s)._window_precision(window) * np.outer(b, b)
 
     def diagonal(self, n):
         return _stored(self.s, n, "s") / self.b[:n] ** 2
@@ -587,7 +615,7 @@ class ScaledMinKernel(KernelSpec):
 
 @_register
 @dataclass(frozen=True, eq=False)
-class ExpKernel(KernelSpec):
+class ExpKernel(_OnePole):
     """W[j,k] = exp(-|v[j] - v[k]|) for strictly increasing v."""
 
     v: np.ndarray
@@ -615,16 +643,11 @@ class ExpKernel(KernelSpec):
         v = self.v[window.l : window.l + window.n]
         return np.exp(-np.abs(np.subtract.outer(v, v)))
 
-    def generator(self, size):
-        # gap form of D_b Q(s) D_b with b = e^v, s = e^{2v}; stays finite for any v
-        if self.v.size < size + 1:
-            raise ValueError("generator truncation needs len(v) >= size + 1")
-        g = np.diff(self.v[: size + 1])
-        diag = np.empty(size)
-        diag[0] = 1.0 + 1.0 / np.expm1(2.0 * g[0])
-        if size > 1:
-            diag[1:] = 1.0 / -np.expm1(-2.0 * g[:-1]) + 1.0 / np.expm1(2.0 * g[1:])
-        return -_tridiag(diag, -0.5 / np.sinh(g[:-1])), 1
+    def _chain(self, n):
+        # stationary unit variance; in gap form, finite for any v
+        g = np.diff(_stored(self.v, n, "v"))
+        a = np.concatenate(([0.0], np.exp(-g)))
+        return a, np.concatenate(([1.0], 1.0 / -np.expm1(-2.0 * g)))
 
     def diagonal(self, n):
         return np.ones_like(_stored(self.v, n, "v"))
@@ -650,7 +673,7 @@ class ExpKernel(KernelSpec):
 
 @_register
 @dataclass(frozen=True, eq=False)
-class AR1(KernelSpec):
+class AR1(_OnePole):
     """Covariance of xi[n] = x[n-1] xi[n-1] + g[n] with iid standard g.
 
     x in (0, 1], non-decreasing. Entries carry the product form
@@ -693,11 +716,8 @@ class AR1(KernelSpec):
         # the diagonal factor belongs to the smaller index of the pair
         return np.minimum.outer(dj, dj) * decay
 
-    def generator(self, size):
-        x = self.x
-        if x.size < size:
-            raise ValueError("generator truncation needs len(x) >= size")
-        return -_tridiag(1.0 + x[:size] ** 2, -x[: size - 1]), 1
+    def _chain(self, n):
+        return np.concatenate(([0.0], _stored(self.x, n - 1, "x"))), np.ones(n)
 
     def path_stream(self, n_max, rng, rows, chunk, first_scale=1.0):
         # xi[1] = first_scale g[1], xi[n] = x[n-1] xi[n-1] + g[n]
@@ -714,7 +734,7 @@ class AR1(KernelSpec):
 
 @_register
 @dataclass(frozen=True, eq=False)
-class AR1Shifted(_FirstInnovationScaled):
+class AR1Shifted(_OnePole, _FirstInnovationScaled):
     """AR1 with the first innovation scaled by delta_tilde."""
 
     x: np.ndarray
@@ -733,7 +753,11 @@ class AR1Shifted(_FirstInnovationScaled):
 
     _first_scale = property(lambda self: self.delta_tilde)
     _weight = property(lambda self: self.delta_tilde**2 - 1.0)
-    _corner = property(lambda self: 1.0 / self.delta_tilde**2 + self.x[0] ** 2)
+
+    def _chain(self, n):
+        a, w = self.base._chain(n)
+        w[0] = 1.0 / self.delta_tilde**2
+        return a, w
 
     def _response(self, n):
         # t[j] = prod(x[:j-1]), the response of xi[j] to the first innovation
@@ -1085,63 +1109,37 @@ def _walk_generator(spec):
 # window inverses
 # ---------------------------------------------------------------------------
 
-def min_window_inverse(s, window):
-    """Closed tridiagonal inverse of a min-kernel window.
-
-    With a[m] = 1/(s[m] - s[m-1]) (s[0] = 0):
-      (1) first diagonal entry 1/s[l+1] + a[l+2]
-      (2) interior diagonal a[l+j] + a[l+j+1]
-      (3) last diagonal a[l+n]
-      (4) off-diagonal entries -a[l+j+1]
-    A 1x1 window degenerates to [1/s[l+1]].
-    """
-    l, n = window.l, window.n
-    if l + n > s.size:
-        raise ValueError("window extends past supplied s")
-    svals = s[l : l + n]
-    prev = s[l - 1] if l > 0 else 0.0
-    gaps = np.empty(n)
-    gaps[0] = svals[0] - prev
-    gaps[1:] = np.diff(svals)
-    a = 1.0 / gaps  # a[j] = a_{l+j+1} in 1-based labels
-    if n == 1:
-        return np.array([[1.0 / svals[0]]])
-    diag = np.empty(n)
-    diag[0] = 1.0 / svals[0] + a[1]
-    diag[1:-1] = a[1:-1] + a[2:]
-    diag[-1] = a[-1]
-    return _tridiag(diag, -a[1:])
-
-
 def window_inverse(spec, window):
-    """Inverse of the kernel window; closed form for min kernels.
+    """Inverse of the kernel window: the closed tridiagonal chain precision
+    of a one-pole family, else a dense solve (ARk, ARkGen, rank-one updates).
 
-    The closed form is cross-checked against a dense solve; the dense path
-    refuses windows whose condition estimate exceeds CONDITION_LIMIT.
+    The min form is cross-checked against a dense solve. Every other inverse
+    is refused when ||U||_1 ||U^{-1}||_1 exceeds CONDITION_LIMIT or when
+    the residual of U^{-1} U against I exceeds its bound.
     """
-    kernel = build_kernel(spec, window)
+    K = build_kernel(spec, window).entries
+    eye = np.eye(window.n)
+    inv = spec._window_precision(window)
     if isinstance(spec, MinKernel):
-        inv = min_window_inverse(spec.s, window)
-        dense = np.linalg.solve(kernel.entries, np.eye(window.n))
-        gap = np.abs(inv - dense).max()
+        gap = np.abs(inv - np.linalg.solve(K, eye)).max()
         if gap > DENSE_CHECK_TOL:
             raise IdentityError(
                 "min-window-inverse",
                 f"closed form differs from dense solve by {gap:.3e}",
             )
         return inv
-    K = kernel.entries
-    try:
-        inv = np.linalg.solve(K, np.eye(K.shape[0]))
-    except np.linalg.LinAlgError as exc:
-        raise IdentityError("window-inverse-identity", f"singular window: {exc}")
+    if inv is None:
+        try:
+            inv = np.linalg.solve(K, eye)
+        except np.linalg.LinAlgError as exc:
+            raise IdentityError("window-inverse-identity", f"singular window: {exc}")
     cond = np.linalg.norm(K, 1) * np.linalg.norm(inv, 1)
     if cond > CONDITION_LIMIT:
         raise IdentityError(
             "window-inverse-identity",
             f"condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:g}",
         )
-    gap = np.abs(inv @ K - np.eye(K.shape[0])).max()
+    gap = np.abs(inv @ K - eye).max()
     if gap > DENSE_CHECK_TOL * max(1.0, cond / 1e2):
         raise IdentityError(
             "window-inverse-identity",
@@ -1396,12 +1394,12 @@ def decay_envelope(entries):
     """
     U = np.asarray(entries, dtype=float)
     n = U.shape[0]
-    dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     # drop the largest distances, which only a corner entry attains
     dmax = max(2, (3 * n) // 4)
-    envelope = np.array(
-        [np.abs(U[dist == d]).max() for d in range(dmax)]
-    )
+    envelope = np.array([
+        np.abs(np.concatenate((np.diagonal(U, d), np.diagonal(U, -d)))).max()
+        for d in range(dmax)
+    ])
     ok = bool(np.all(np.diff(envelope) <= 1e-12))
     logs = np.log(np.maximum(envelope, 1e-300))
     slope, intercept = np.polyfit(np.arange(dmax), logs, 1)

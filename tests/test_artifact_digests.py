@@ -97,8 +97,8 @@ DIGESTS = {
         "cstar.json": "d12a892441bdbe95597dc1ca51a15bf8146a59fbecfa1c9acfff7b7c3e779aeb",
     },
     "invert-ar1-300": {
-        "inverse.csv": "9052cf692f74cfca99c025fc4c0afb5628c44a469303545561925d634873522b",
-        "invert.json": "08a2147bd0f89510a1ed05b0e6bc752da159a74a3bab714f388014016d192df6",
+        "inverse.csv": "86b5e6720e0d1fb633a4fba64bed221b53c1b021f07ca133de55d41894e128b1",
+        "invert.json": "832c53f786ab38f494707bf8c3cc81ff37245ece5e8f69a04fad4862868df4a3",
     },
     "invert-min-300": {
         "inverse.csv": "00a6f4500897a818cf68189cd8058b093054e7cfd7cc1584ca448dda9626f219",

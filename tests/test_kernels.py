@@ -552,6 +552,67 @@ class TestRankOneUpdate:
             rank_one_update(build_kernel(base, Window(0, 6)), 1, 2, 2.0)
 
 
+def scaled_min_parts(r, size):
+    s = random_increasing_s(r, size)
+    b = r.uniform(0.5, 2.0, size)
+    b[1] = b[0] * r.uniform(1.0, 1.5)      # b[1] >= b[0] leaves room for a shift
+    return s, b
+
+
+def shifted_scaled(r, size):
+    s, b = scaled_min_parts(r, size)
+    upper = ShiftedScaled(s=s, b=b, Delta=0.0).admissibility().bound[1]
+    return ShiftedScaled(s=s, b=b, Delta=-s[0] + r.uniform(0.1, 0.9) * (min(upper, 2.0) + s[0]))
+
+
+# family -> spec of that family with `size` stored values
+ONE_POLE_BUILDERS = {
+    "min": lambda r, size: MinKernel(s=random_increasing_s(r, size)),
+    "scaled_min": lambda r, size: ScaledMinKernel(*scaled_min_parts(r, size)),
+    "shifted_scaled": shifted_scaled,
+    "exp": lambda r, size: ExpKernel(v=np.cumsum(r.uniform(0.05, 1.5, size))),
+    "ar1": lambda r, size: AR1(x=np.sort(r.uniform(0.3, 0.95, size))),
+    "ar1_shifted": lambda r, size: AR1Shifted(
+        x=np.sort(r.uniform(0.3, 0.95, size)), delta_tilde=r.uniform(0.6, 1.8)
+    ),
+}
+
+
+@st.composite
+def one_pole_windows(draw):
+    family = draw(st.sampled_from(sorted(ONE_POLE_BUILDERS)))
+    l, n = draw(st.integers(0, 20)), draw(st.integers(1, 30))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return ONE_POLE_BUILDERS[family](r, l + n + 1), Window(l, n)
+
+
+class TestOnePoleChains:
+    def test_strategy_covers_every_closed_window_family(self):
+        closed = {
+            spec.family for spec in ROUND_TRIP_SPECS
+            if spec._window_precision(Window(0, 2)) is not None
+        }
+        assert set(ONE_POLE_BUILDERS) == closed
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=one_pole_windows())
+    def test_window_inverse_and_generator_are_the_chain_precision(self, case):
+        spec, w = case
+        U = dense_window(spec, w)
+        P = window_inverse(spec, w)
+        assert not np.triu(P, 2).any() and not np.tril(P, -2).any()
+        cond = np.linalg.norm(U, 1) * np.linalg.norm(P, 1)
+        bound = kernels.DENSE_CHECK_TOL * max(1.0, cond / 1e2)
+        assert np.abs(P @ U - np.eye(w.n)).max() <= bound
+        # the generator is minus the leading block of the precision of one
+        # more value, which the residual above checks against the kernel
+        size = w.l + w.n
+        G, band = spec.generator(size)
+        assert band == 1
+        chain = window_inverse(spec, Window(0, size + 1))[:size, :size]
+        np.testing.assert_allclose(-G, chain, rtol=1e-12, atol=0)
+
+
 class TestGenerators:
     def test_min_generator_is_tridiagonal_dual(self):
         s = np.arange(1.0, 15.0)
@@ -609,6 +670,16 @@ class TestKilledWalk:
             build_kernel(spec, Window(0, 5))
 
 
+def masked_envelope(U):
+    """Reference route: each distance's maximum through an n x n mask."""
+    n = U.shape[0]
+    dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    dmax = max(2, (3 * n) // 4)
+    envelope = np.array([np.abs(U[dist == d]).max() for d in range(dmax)])
+    slope, intercept = np.polyfit(np.arange(dmax), np.log(np.maximum(envelope, 1e-300)), 1)
+    return float(np.exp(intercept)), float(-slope), bool(np.all(np.diff(envelope) <= 1e-12))
+
+
 class TestDecayEnvelope:
     def test_banded_inverse_decays(self):
         U = dense_window(AR1(x=np.full(30, 0.5)), Window(0, 30))
@@ -616,6 +687,14 @@ class TestDecayEnvelope:
         assert C > 0
         assert lam > 0
         assert monotone
+
+    @pytest.mark.parametrize("n", [2, 3, 17])
+    def test_asymmetric_window_matches_mask_route(self, n):
+        # a rank-one update with k != l makes U[i, i+d] and U[i+d, i] differ
+        spec = RankOneUpdate(base=AR1(x=np.full(n + 5, 0.5)), k=1, l=n, b=0.4)
+        U = dense_window(spec, Window(0, n))
+        assert not np.array_equal(U, U.T)
+        assert decay_envelope(U) == masked_envelope(U)
 
 
 class TestSpecEquality:
@@ -702,9 +781,16 @@ class TestConfigRoundTrip:
               "radius": 2.5}, "radius"),
             ({"family": "min", "s": [{}]}, "s"),
             ({"family": ["min"], "s": [1.0]}, "family"),
+            ({"family": "killed_walk", "step_rates": {"x": 0.5}, "beta": 1.0,
+              "radius": 10}, "step_rates"),
+            ({"family": "killed_walk", "step_rates": {"1.5": 0.5}, "beta": 1.0,
+              "radius": 10}, "step_rates"),
+            ({"family": "rank_one_update", "base": [1.0, 2.0], "k": 1, "l": 2,
+              "b": 0.25}, "'base' must be a kernel config object"),
         ],
         ids=["missing", "unknown", "null-scalar", "rate-list", "float-int",
-             "array-of-objects", "family-list"],
+             "array-of-objects", "family-list", "rate-key-word", "rate-key-float",
+             "base-not-object"],
     )
     def test_malformed_config_is_a_value_error(self, doc, named):
         with pytest.raises(ValueError, match=named):
