@@ -19,8 +19,8 @@ functions call after checking `admissibility()`:
 
 The one-pole families (min, exp, AR1, AR1Shifted) state their Gaussian
 chain once, `_chain(n)`; its tridiagonal precision gives `generator(size)`
-and the closed inverses of `window_inverse`, and ScaledMinKernel scales
-that of the min chain of s by b b^T.
+and the closed window inverses of `_checked_inverse`, and ScaledMinKernel
+scales that of the min chain of s by b b^T.
 
 A family's config is its dataclass fields: `to_config` writes them under a
 `family` tag and `KernelSpec.from_config` reads them back.
@@ -704,17 +704,15 @@ class AR1(_OnePole):
         hi = window.l + window.n
         if hi > x.size + 1:
             raise ValueError("window extends past supplied x")
-        d = self.diagonal(hi)
-        # U[j,k] = U[j,j] prod(x[j..k-1]) for j <= k; the product is built from
-        # log sums so long windows underflow to 0 instead of degrading to NaN
-        lo = window.l
-        dj = d[lo:hi]
-        logt = np.zeros(hi)
-        logt[1:] = np.cumsum(np.log(x[: hi - 1]))
-        lt = logt[lo:hi]
-        decay = np.exp(-np.abs(np.subtract.outer(lt, lt)))
-        # the diagonal factor belongs to the smaller index of the pair
-        return np.minimum.outer(dj, dj) * decay
+        lo, n = window.l, window.n
+        # U[j,k] = U[j,j] prod(x[j..k-1]) for j <= k as a running product along
+        # each row from its diagonal: nothing is divided, and a long window
+        # underflows to 0 instead of degrading to NaN
+        steps = np.tril(np.ones((n, n)), -1)
+        steps[:, 1:] += np.triu(np.broadcast_to(x[lo : hi - 1], (n, n - 1)))
+        np.fill_diagonal(steps, self.diagonal(hi)[lo:])
+        upper = np.triu(np.cumprod(steps, axis=1))
+        return upper + np.triu(upper, 1).T
 
     def _chain(self, n):
         return np.concatenate(([0.0], _stored(self.x, n - 1, "x"))), np.ones(n)
@@ -1109,17 +1107,21 @@ def _walk_generator(spec):
 # window inverses
 # ---------------------------------------------------------------------------
 
-def window_inverse(spec, window):
-    """Inverse of the kernel window: the closed tridiagonal chain precision
-    of a one-pole family, else a dense solve (ARk, ARkGen, rank-one updates).
+def _checked_inverse(U):
+    """Inverse of a kernel window, refused where it cannot be trusted.
 
-    The min form is cross-checked against a dense solve. Every other inverse
-    is refused when ||U||_1 ||U^{-1}||_1 exceeds CONDITION_LIMIT or when
-    the residual of U^{-1} U against I exceeds its bound.
+    A DenseKernelWindow takes its spec's closed chain precision; a bare
+    matrix, or a family without one (ARk, ARkGen, rank-one updates), takes
+    a dense solve. The min form is cross-checked against a dense solve.
+    Every other inverse is refused when the window is singular, when
+    ||U||_1 ||U^{-1}||_1 exceeds CONDITION_LIMIT, or when the residual of
+    U^{-1} U against I exceeds its bound.
     """
-    K = build_kernel(spec, window).entries
-    eye = np.eye(window.n)
-    inv = spec._window_precision(window)
+    spec = inv = None
+    if isinstance(U, DenseKernelWindow):
+        spec, inv, U = U.spec, U.spec._window_precision(U.window), U.entries
+    K = np.asarray(U, dtype=float)
+    eye = np.eye(K.shape[0])
     if isinstance(spec, MinKernel):
         gap = np.abs(inv - np.linalg.solve(K, eye)).max()
         if gap > DENSE_CHECK_TOL:
@@ -1146,6 +1148,11 @@ def window_inverse(spec, window):
             f"inverse residual {gap:.3e} with condition {cond:.3e}",
         )
     return inv
+
+
+def window_inverse(spec, window):
+    """Checked inverse of the kernel window (`_checked_inverse`)."""
+    return _checked_inverse(build_kernel(spec, window))
 
 
 # ---------------------------------------------------------------------------
@@ -1264,7 +1271,6 @@ class InverseMReport:
     diag_nonnegative: bool
     offdiag_nonpositive: bool
     row_sums_nonnegative: bool
-    inverse: np.ndarray
 
     @property
     def ok(self):
@@ -1272,23 +1278,15 @@ class InverseMReport:
 
 
 def check_inverse_m_matrix(entries):
-    """Invert a kernel window and test the M-matrix sign pattern."""
-    if isinstance(entries, DenseKernelWindow):
-        entries = entries.entries
-    K = np.asarray(entries, dtype=float)
-    try:
-        inv = np.linalg.inv(K)
-    except np.linalg.LinAlgError as exc:
-        raise IdentityError("inverse-m-matrix", f"singular kernel window: {exc}")
-    scale = max(1.0, np.abs(inv).max())
-    tol = M_SIGN_TOL * scale
+    """Test the M-matrix sign pattern of a window's checked inverse."""
+    inv = _checked_inverse(entries)
+    tol = M_SIGN_TOL * max(1.0, np.abs(inv).max())
     off = inv.copy()
     np.fill_diagonal(off, 0.0)
     return InverseMReport(
         diag_nonnegative=bool(np.all(np.diag(inv) >= -tol)),
         offdiag_nonpositive=bool(np.all(off <= tol)),
         row_sums_nonnegative=bool(np.all(inv.sum(axis=1) >= -tol)),
-        inverse=inv,
     )
 
 
@@ -1328,12 +1326,9 @@ def _rank_one_decision(b, u_lk):
     )
 
 
-def decide_shift_admissible(spec, raise_on_fail=False):
+def decide_shift_admissible(spec):
     """Admissibility decision for shifted and generalized families."""
-    decision = spec.admissibility()
-    if raise_on_fail:
-        decision.require()
-    return decision
+    return spec.admissibility()
 
 
 # ---------------------------------------------------------------------------

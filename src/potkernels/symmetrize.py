@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .identities import IdentityError
-from .kernels import CONDITION_LIMIT, DenseKernelWindow
+from .kernels import DenseKernelWindow, _checked_inverse
 
 EXTEND_DET_TOL = 1e-10
 A_CLOSED_FORM_TOL = 1e-9
@@ -127,9 +127,9 @@ def analyze(K_ext, U_window, f_window):
     The inverse A is assembled from the closed form and cross-checked
     against dense inversion of K_ext; nu is computed both as the
     determinant ratio det(A_sym)/det(A) and through the closed form
-    (1 + rho) - m U m^T, and the two must agree. The window's 1-norm
-    condition estimate comes from its one inverse; a singular window
-    counts as infinitely ill-conditioned.
+    (1 + rho) - m U m^T, and the two must agree. The window inverse is
+    the checked one of `kernels`: the closed chain precision of a one-pole
+    family's window, else a dense solve.
     """
     U = _as_matrix(U_window)
     n = U.shape[0]
@@ -140,17 +140,7 @@ def analyze(K_ext, U_window, f_window):
     scale_u = np.abs(U).max()
     if np.abs(U - U.T).max() > 1e-10 * max(1.0, scale_u):
         raise ValueError("U_window must be symmetric")
-    try:
-        Uinv = np.linalg.inv(U)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    else:
-        cond = np.linalg.norm(U, 1) * np.linalg.norm(Uinv, 1)
-    if cond > CONDITION_LIMIT:
-        raise IdentityError(
-            "window-inverse-identity",
-            f"window condition estimate {cond:.3e} beyond refusal limit",
-        )
+    Uinv = _checked_inverse(U_window)
 
     c = Uinv.T @ f
     r = Uinv.sum(axis=1)

@@ -98,7 +98,7 @@ DIGESTS = {
     },
     "invert-ar1-300": {
         "inverse.csv": "86b5e6720e0d1fb633a4fba64bed221b53c1b021f07ca133de55d41894e128b1",
-        "invert.json": "832c53f786ab38f494707bf8c3cc81ff37245ece5e8f69a04fad4862868df4a3",
+        "invert.json": "94d6ba48cf70640474fd2e2a9f06df911d387a348da1e388c16f799abbba6583",
     },
     "invert-min-300": {
         "inverse.csv": "00a6f4500897a818cf68189cd8058b093054e7cfd7cc1584ca448dda9626f219",
@@ -127,8 +127,8 @@ DIGESTS = {
         "predict.json": "103f28f2e65d87b032fc1116598e3be55471bb1c46372a0de2d60c2b35f6b175",
     },
     "simulate-ar1-f-1e4x40": {
-        "marginals.csv": "66d7dfead288575937a8c2457e1598cd07909c7440ecf4e7de66b24880fdd21b",
-        "samples.csv": "4876af413f29044f91d8061439609cbc52881ead533804e1fcef8316b2f802d1",
+        "marginals.csv": "4f2600743fa68225592daaa9f4eb4463e4f738e69e8d4ac5cb852260a46d6b92",
+        "samples.csv": "1e797e38f5ce56cfa30a155604f1419cf10f3fc8be0e7d6cbfe3c9748116855f",
         "simulate.json": "23629261b7442205dd58a036eb83403249b9492fcce3e86901823ccb1d6d7218",
     },
     "simulate-exp-1e4x40": {

@@ -377,6 +377,32 @@ class TestSymmetrize:
         assert code == 1
         assert "inverse-m-matrix" in capsys.readouterr().err
 
+    @staticmethod
+    def min_like_config(family, n, seed):
+        """A min or shifted-scaled window from l = 0 with a density-built f,
+        drawn as the window-analytic benchmark draws one."""
+        rng = np.random.default_rng(seed)
+        size = n + 30
+        s = rng.uniform(0.2, 1.0) + np.cumsum(rng.uniform(0.2, 2.0, size))
+        spec = {"family": family, "s": s.tolist()}
+        if family == "shifted_scaled":
+            spec["b"] = [float(rng.uniform(0.5, 2.0))] * size
+            spec["Delta"] = float(rng.uniform(0.0, 0.5))
+        h = rng.dirichlet(np.ones(int(rng.integers(3, 12)))) * rng.uniform(0.5, 2.0)
+        return {"command": "symmetrize", "spec": spec, "window": {"l": 0, "n": n},
+                "f": {"density": h.tolist(), "start": 1}, "alpha": 0.5}
+
+    @pytest.mark.parametrize("n", [100, 400])
+    @pytest.mark.parametrize("family", ["min", "shifted_scaled"])
+    def test_min_like_ledger_takes_the_chain_precision(self, tmp_path, family, n):
+        # a dense inverse of these windows puts nu-two-routes out of tolerance;
+        # the chain precision keeps the two routes of nu together. Round-off in
+        # P 1 and P^T f still makes some draws refuse (ROADMAP item 2)
+        code, outdir = run_cli(tmp_path, self.min_like_config(family, n, seed=2))
+        assert code == 0
+        doc = read_json(outdir, "symmetrize.json")
+        assert 1.0 <= doc["nu"]["value"] <= 1.0 + doc["rho"]["value"]
+
 
 class TestErrorPaths:
     def test_missing_config_flag_exits_two(self, capsys):

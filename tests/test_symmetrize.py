@@ -194,8 +194,7 @@ class TestRejections:
         with pytest.raises(IdentityError) as err:
             analyze(np.eye(4), U, np.zeros(3))
         assert str(err.value) == (
-            "[window-inverse-identity] window condition estimate inf beyond "
-            "refusal limit"
+            "[window-inverse-identity] singular window: Singular matrix"
         )
 
     def test_ill_conditioned_window(self):
@@ -206,8 +205,8 @@ class TestRejections:
         with pytest.raises(IdentityError) as err:
             analyze(np.eye(5), U, np.zeros(4))
         assert str(err.value) == (
-            f"[window-inverse-identity] window condition estimate {cond:.3e} "
-            "beyond refusal limit"
+            f"[window-inverse-identity] condition estimate {cond:.3e} "
+            f"exceeds {CONDITION_LIMIT:g}"
         )
 
     def test_sign_refusal_prints_plain_floats(self):
