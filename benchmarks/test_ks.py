@@ -8,8 +8,8 @@ filter and the KS supremum per index. `test_stream` times the bare stream
 at the larger size, 3 x 10^5 rows of 30 steps of the exp recurrence, drawn
 and filtered with nothing after it. `test_window_inverse` times
 `window_inverse` on min, exp and AR1 windows from l = 1 at n = 400 and
-2000: the closed chain precision of each, with its dense cross-check for
-min and its condition estimate and residual check for exp and AR1.
+2000: building the window and the closed chain precision of each, with
+its condition estimate and residual check, the same for all three.
 
 The directory sits outside `testpaths`, so the test suite does not collect
 it. Run it from a source checkout:

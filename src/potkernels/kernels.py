@@ -19,8 +19,10 @@ functions call after checking `admissibility()`:
 
 The one-pole families (min, exp, AR1, AR1Shifted) state their Gaussian
 chain once, `_chain(n)`; its tridiagonal precision gives `generator(size)`
-and the closed window inverses of `_checked_inverse`, and ScaledMinKernel
-scales that of the min chain of s by b b^T.
+and the closed window inverses, and ScaledMinKernel scales that of the min
+chain of s by b b^T. A `DenseKernelWindow` keeps its `inverse` from first
+read: the closed one where it exists, else a dense solve, each passing the
+same condition and residual checks of `_checked_inverse`.
 
 A family's config is its dataclass fields: `to_config` writes them under a
 `family` tag and `KernelSpec.from_config` reads them back.
@@ -250,6 +252,12 @@ class DenseKernelWindow:
     @property
     def n(self):
         return self.entries.shape[0]
+
+    @cached_property
+    def inverse(self):
+        """(U^{-1}, residual) from `_checked_inverse` of the entries and the
+        spec's closed chain precision, if any; built on first read."""
+        return _checked_inverse(self.entries, self.spec._window_precision(self.window))
 
 
 @dataclass(frozen=True)
@@ -1107,29 +1115,19 @@ def _walk_generator(spec):
 # window inverses
 # ---------------------------------------------------------------------------
 
-def _checked_inverse(U):
-    """Inverse of a kernel window, refused where it cannot be trusted.
+def _checked_inverse(U, inv=None):
+    """Read-only inverse of a kernel window and its residual max |inv U - I|.
 
-    A DenseKernelWindow takes its spec's closed chain precision; a bare
-    matrix, or a family without one (ARk, ARkGen, rank-one updates), takes
-    a dense solve. The min form is cross-checked against a dense solve.
-    Every other inverse is refused when the window is singular, when
-    ||U||_1 ||U^{-1}||_1 exceeds CONDITION_LIMIT, or when the residual of
-    U^{-1} U against I exceeds its bound.
+    A DenseKernelWindow answers with its `inverse`. For a matrix, `inv` is
+    a closed inverse to check, or None for a dense solve. Every inverse is
+    refused when the window is singular, when ||U||_1 ||U^{-1}||_1 exceeds
+    CONDITION_LIMIT, or when the residual exceeds DENSE_CHECK_TOL
+    max(1, cond/100); no family has a check of its own.
     """
-    spec = inv = None
     if isinstance(U, DenseKernelWindow):
-        spec, inv, U = U.spec, U.spec._window_precision(U.window), U.entries
+        return U.inverse
     K = np.asarray(U, dtype=float)
     eye = np.eye(K.shape[0])
-    if isinstance(spec, MinKernel):
-        gap = np.abs(inv - np.linalg.solve(K, eye)).max()
-        if gap > DENSE_CHECK_TOL:
-            raise IdentityError(
-                "min-window-inverse",
-                f"closed form differs from dense solve by {gap:.3e}",
-            )
-        return inv
     if inv is None:
         try:
             inv = np.linalg.solve(K, eye)
@@ -1141,18 +1139,19 @@ def _checked_inverse(U):
             "window-inverse-identity",
             f"condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:g}",
         )
-    gap = np.abs(inv @ K - eye).max()
+    gap = float(np.abs(inv @ K - eye).max())
     if gap > DENSE_CHECK_TOL * max(1.0, cond / 1e2):
         raise IdentityError(
             "window-inverse-identity",
             f"inverse residual {gap:.3e} with condition {cond:.3e}",
         )
-    return inv
+    inv.flags.writeable = False
+    return inv, gap
 
 
 def window_inverse(spec, window):
-    """Checked inverse of the kernel window (`_checked_inverse`)."""
-    return _checked_inverse(build_kernel(spec, window))
+    """Checked inverse of the kernel window (`DenseKernelWindow.inverse`)."""
+    return build_kernel(spec, window).inverse[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1279,7 +1278,7 @@ class InverseMReport:
 
 def check_inverse_m_matrix(entries):
     """Test the M-matrix sign pattern of a window's checked inverse."""
-    inv = _checked_inverse(entries)
+    inv = _checked_inverse(entries)[0]
     tol = M_SIGN_TOL * max(1.0, np.abs(inv).max())
     off = inv.copy()
     np.fill_diagonal(off, 0.0)

@@ -74,11 +74,28 @@ def _dense_paths(spec, n, rng, rows):
     return rng.standard_normal((rows, n)) @ L.T
 
 
-def _gaussian_paths(spec, n_max, rng, rows):
+def _gaussian_paths(spec, n_max, rng, rows, cols=None):
+    """rows Gaussian paths of n_max steps, kept at the increasing 0-based
+    columns `cols` (all by default) as each chunk of the stream arrives."""
+    cols = np.arange(n_max) if cols is None else np.asarray(cols)
     stream = _path_stream(spec, n_max, rng, rows)
     if stream is None:
-        return _dense_paths(spec, n_max, rng, rows)
-    return np.concatenate(list(stream), axis=1)
+        return _dense_paths(spec, n_max, rng, rows)[:, cols]
+    kept = np.empty((rows, cols.size))
+    j0 = 0
+    for block in stream:
+        lo, hi = np.searchsorted(cols, (j0, j0 + block.shape[1]))
+        kept[:, lo:hi] = block[:, cols[lo:hi] - j0]
+        j0 += block.shape[1]
+    return kept
+
+
+def _k_half(alpha):
+    # alpha = k_half/2 for an integer k_half >= 1, the squared-Gaussian replicas
+    k_half = int(round(2 * alpha))
+    if abs(2 * alpha - k_half) > 1e-12 or k_half < 1:
+        raise ValueError("alpha must be a positive half-integer")
+    return k_half
 
 
 def kernel_diagonal(spec, n):
@@ -154,7 +171,7 @@ def sample_permanental(spec, f, k_half, n, seed, trials=1, l=0):
 
     rng = _trial_rng(seed, 0)
     rows = trials * k_half
-    paths = _gaussian_paths(spec, l + n, rng, rows)[:, l : l + n]
+    paths = _gaussian_paths(spec, l + n, rng, rows, np.arange(l, l + n))
     xi = rng.standard_normal((trials, k_half))
     shifted = paths.reshape(trials, k_half, n) + a_vec[None, None, :] * xi[:, :, None]
     values = (shifted**2).sum(axis=1) / 2.0
@@ -239,9 +256,7 @@ def gamma_marginal_test(spec, f, alpha, indices, m_samples, seed):
     statistic is the full KS supremum, evaluated from knots and the live
     intervals between them (`_ks_gamma`).
     """
-    k_half = int(round(2 * alpha))
-    if abs(2 * alpha - k_half) > 1e-12 or k_half < 1:
-        raise ValueError("alpha must be a positive half-integer")
+    k_half = _k_half(alpha)
     idx = np.unique(np.asarray(indices, dtype=int))
     if idx.size == 0 or idx[0] < 1:
         raise ValueError("indices are 1-based")
@@ -255,19 +270,7 @@ def gamma_marginal_test(spec, f, alpha, indices, m_samples, seed):
     rng = _trial_rng(seed, 0)
     rows = m_samples * k_half
     cols = idx - 1
-    stream = _path_stream(spec, n_max, rng, rows)
-    if stream is None:
-        paths_at = _dense_paths(spec, n_max, rng, rows)[:, cols]
-    else:
-        collected = np.empty((rows, idx.size))
-        j0 = 0
-        for block in stream:
-            m = block.shape[1]
-            hit = (cols >= j0) & (cols < j0 + m)
-            if hit.any():
-                collected[:, hit] = block[:, cols[hit] - j0]
-            j0 += m
-        paths_at = collected
+    paths_at = _gaussian_paths(spec, n_max, rng, rows, cols)
     xi = rng.standard_normal((m_samples, k_half))
     shifted = (
         paths_at.reshape(m_samples, k_half, idx.size)
@@ -371,9 +374,7 @@ def limsup_experiment(config, prediction=None):
     else:
         if prediction is None:
             raise ValueError("permanental mode needs a prediction")
-        k_half = int(round(2 * config.alpha))
-        if abs(2 * config.alpha - k_half) > 1e-12 or k_half < 1:
-            raise ValueError("alpha must be a positive half-integer")
+        k_half = _k_half(config.alpha)
         stream_spec = config.spec
         phi_at = np.asarray(
             prediction.normalizer(np.asarray(cps, dtype=int)), dtype=float

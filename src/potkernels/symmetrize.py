@@ -140,7 +140,7 @@ def analyze(K_ext, U_window, f_window):
     scale_u = np.abs(U).max()
     if np.abs(U - U.T).max() > 1e-10 * max(1.0, scale_u):
         raise ValueError("U_window must be symmetric")
-    Uinv = _checked_inverse(U_window)
+    Uinv = _checked_inverse(U_window)[0]
 
     c = Uinv.T @ f
     r = Uinv.sum(axis=1)

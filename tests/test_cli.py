@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import potkernels
+from potkernels import MinKernel, kernels
 from potkernels.cli import _RUNNERS, main
 
 
@@ -137,6 +138,30 @@ class TestValidate:
         assert code == 1
         assert "excessive-ratio-test" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", [min_spec(12), {"family": "ark", "p": [0.5, 0.25]}])
+    def test_window_is_inverted_once(self, tmp_path, monkeypatch, spec):
+        # an inversion is a closed chain precision or a dense solve; the
+        # window's checked inverse serves every check of the command
+        calls = {"closed": 0, "solve": 0}
+
+        def counted(key, real):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            MinKernel, "_window_precision",
+            counted("closed", MinKernel._window_precision),
+        )
+        monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+        cfg = {"command": "validate", "spec": spec, "window": {"l": 2, "n": 8}}
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 0
+        assert calls["closed"] + calls["solve"] == 1
+        if spec["family"] == "min":
+            assert calls["solve"] == 0
+
     def test_killed_walk_branch(self, tmp_path):
         cfg = {
             "command": "validate",
@@ -167,6 +192,23 @@ class TestInvert:
         lines = (outdir / "inverse.csv").read_text().splitlines()
         assert lines[0] == "i,j,value"
         assert len(lines) == 1 + 36
+
+    def test_reports_the_residual_of_the_check(self, tmp_path, monkeypatch):
+        # the check's residual, offset here so a second product would differ
+        seen = []
+        real = kernels._checked_inverse
+
+        def offset(*args):
+            inv, residual = real(*args)
+            seen.append(residual + 0.5)
+            return inv, seen[-1]
+
+        monkeypatch.setattr(kernels, "_checked_inverse", offset)
+        cfg = {"command": "invert", "spec": exp_spec(9), "window": {"l": 1, "n": 6}}
+        code, outdir = run_cli(tmp_path, cfg)
+        assert code == 0
+        assert read_json(outdir, "invert.json")["residual"]["value"] == seen[0]
+        assert len(seen) == 1
 
 
 class TestPredict:

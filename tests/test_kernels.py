@@ -568,9 +568,8 @@ def shifted_scaled(r, size):
 
 
 # ledger refusals that come from round-off: nu and K_isymi lose their last
-# digits where sqrt(c r) lifts stray entries of P 1 and P^T f, and the min
-# cross-check holds a closed form to a dense solve of a large precision
-ROUNDOFF_REFUSALS = {"nu-two-routes", "isymi-block-identity", "min-window-inverse"}
+# digits where sqrt(c r) lifts stray entries of P 1 and P^T f
+ROUNDOFF_REFUSALS = {"nu-two-routes", "isymi-block-identity"}
 
 # family -> spec of that family with `size` stored values
 ONE_POLE_BUILDERS = {
@@ -585,12 +584,31 @@ ONE_POLE_BUILDERS = {
 }
 
 
+def scaled_min_sqrt(r, size):
+    # b = c sqrt(s), as the window-analytic benchmark draws it
+    s = random_increasing_s(r, size)
+    return ScaledMinKernel(s=s, b=r.uniform(0.5, 2.0) * np.sqrt(s))
+
+
+# the one-pole builders, and scaled-min and shifted-scaled specs whose
+# window inverses mostly keep nonnegative row sums, so that their ledgers
+# complete on both routes and get compared
+LEDGER_BUILDERS = {
+    **ONE_POLE_BUILDERS,
+    "scaled_min_sqrt": scaled_min_sqrt,
+    "shifted_scaled_constant": lambda r, size: ShiftedScaled(
+        s=random_increasing_s(r, size), b=np.full(size, r.uniform(0.5, 2.0)),
+        Delta=r.uniform(0.0, 0.5),
+    ),
+}
+
+
 @st.composite
-def one_pole_windows(draw, n_min=1, n_max=30):
-    family = draw(st.sampled_from(sorted(ONE_POLE_BUILDERS)))
+def one_pole_windows(draw, n_min=1, n_max=30, builders=ONE_POLE_BUILDERS):
+    family = draw(st.sampled_from(sorted(builders)))
     l, n = draw(st.integers(0, 20)), draw(st.integers(n_min, n_max))
     r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return ONE_POLE_BUILDERS[family](r, l + n + 1), Window(l, n)
+    return builders[family](r, l + n + 1), Window(l, n)
 
 
 class TestOnePoleChains:
@@ -619,8 +637,25 @@ class TestOnePoleChains:
         chain = window_inverse(spec, Window(0, size + 1))[:size, :size]
         np.testing.assert_allclose(-G, chain, rtol=1e-12, atol=0)
 
-    @settings(max_examples=150, deadline=None)
-    @given(case=one_pole_windows(n_min=2, n_max=40), seed=st.integers(0, 2**32 - 1))
+    def test_min_closed_form_passes_the_shared_check(self):
+        # a large min precision (increments down to 1.7e-3) that a dense
+        # solve misses by 1.6e-10; the closed form is within its residual bound
+        r = np.random.default_rng(21)
+        l, n = int(r.integers(0, 21)), int(r.integers(2, 41))
+        spec, w = MinKernel(s=random_increasing_s(r, l + n + 1)), Window(l, n)
+        assert (l, n) == (6, 32)
+        window = build_kernel(spec, w)
+        P, residual = window.inverse
+        np.testing.assert_array_equal(P, spec._window_precision(w))
+        assert not P.flags.writeable
+        cond = np.linalg.norm(window.entries, 1) * np.linalg.norm(P, 1)
+        assert residual <= kernels.DENSE_CHECK_TOL * max(1.0, cond / 1e2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=one_pole_windows(n_min=2, n_max=40, builders=LEDGER_BUILDERS),
+        seed=st.integers(0, 2**32 - 1),
+    )
     def test_ledger_takes_the_chain_precision(self, case, seed):
         spec, w = case
         window = build_kernel(spec, w)
