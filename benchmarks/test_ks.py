@@ -7,9 +7,11 @@ with x = 1/2 at n = 40, indices 2, 10 and 30, alpha 1/2 and 3/2 (10^5 and
 filter and the KS supremum per index. `test_stream` times the bare stream
 at the larger size, 3 x 10^5 rows of 30 steps of the exp recurrence, drawn
 and filtered with nothing after it. `test_window_inverse` times
-`window_inverse` on min, exp and AR1 windows from l = 1 at n = 400 and
-2000: building the window and the closed chain precision of each, with
-its condition estimate and residual check, the same for all three.
+`window_inverse` on min, exp, AR1, ARk and ARkGen windows from l = 1 at
+n = 400 and 2000: building the window and the closed chain precision of
+each, with its condition estimate and residual check, the same for all
+five. The ARk and ARkGen precisions have band 2 and a head block that is
+the inverse of the kernel on the window's first two values.
 
 The directory sits outside `testpaths`, so the test suite does not collect
 it. Run it from a source checkout:
@@ -22,6 +24,8 @@ import pytest
 
 from potkernels import (
     AR1,
+    ARk,
+    ARkGen,
     ExpKernel,
     MinKernel,
     Window,
@@ -44,6 +48,8 @@ WINDOW_FAMILIES = {
     "min": lambda n: MinKernel(s=np.arange(1.0, n + 2.0)),
     "exp": lambda n: ExpKernel(v=np.arange(1.0, n + 2.0)),
     "ar1": lambda n: AR1(x=np.full(n + 1, 0.5)),
+    "ark": lambda n: ARk(p=(0.5, 0.25)),
+    "ark_gen": lambda n: ARkGen(p=(0.5, 0.25), a_sq=0.4),
 }
 
 

@@ -2,8 +2,8 @@
 
 Times `analyze(extend(U, f), U, f)` on min, scaled-min, exp, AR1 and ARk
 windows from l = 1 at n = 100, 400 and 2000. U is the `DenseKernelWindow`
-that `build_kernel` returns, as the CLI and `mcsim` pass it, so the one-pole
-families take their chain precision. The perturbation is the excessive
+that `build_kernel` returns, as the CLI and `mcsim` pass it, so every
+family here takes its chain precision. The perturbation is the excessive
 f = U h for a density h >= 0 on five labels of the window, so the
 couplings U^{-1} f recover h and rho is the mass of h. The window and f are
 built outside the timed call, afresh for every round, since a window keeps
@@ -11,11 +11,9 @@ its checked inverse once read; the row is the ledger's cost alone: the
 checked window inverse, the dense inverse of the extension, the sign check
 of the symmetrization and the determinants.
 
-The scaled-min rows refuse with `nu-two-routes`: P^T f carries round-off of
-about 1e-13 at the labels where h is zero, and sqrt(c r) lifts it to 3e-7
-in nu. Those rows time the ledger up to that refusal, which skips the
-inverse of the symmetrized matrix, and assert it, so the defect stays in
-view until the couplings come from banded products.
+The scaled-min couplings P^T f carry round-off of about 1e-13 at the labels
+where h is zero. It lies within the dot-product error bound that `analyze`
+zeroes, so those rows complete like the others.
 
 The directory sits outside `testpaths`, so the test suite does not collect
 it. Run it from a source checkout:
@@ -57,10 +55,6 @@ FAMILIES = {
 }
 
 
-# families whose ledger refuses on round-off in the couplings
-REFUSED = {"scaled_min": "nu-two-routes"}
-
-
 def ledger(U, f):
     try:
         return analyze(extend(U, f), U, f)
@@ -81,7 +75,4 @@ def test_ledger(benchmark, family, n):
         return (U, U.entries @ h), {}
 
     led = benchmark.pedantic(ledger, setup=fresh_window, rounds=ROUNDS[n])
-    if family in REFUSED:
-        assert led == REFUSED[family]
-    else:
-        assert led.rho == pytest.approx(h.sum(), rel=1e-8)
+    assert led.rho == pytest.approx(h.sum(), rel=1e-8)

@@ -363,7 +363,9 @@ def _run_simulate(cfg, seed, outdir, quiet):
     trials = cfg.get("trials", 1)
     k_half = cfg["k_half"]
     window = Window(l, n)
-    fw = _parse_f(cfg["f"], spec, window) if "f" in cfg else None
+    fw = None
+    if "f" in cfg:      # f on the window, so its first value sits at label l + 1
+        fw = PotentialFunction(_parse_f(cfg["f"], spec, window), start=l + 1)
     batch = sample_permanental(spec, fw, k_half, n, seed, trials=trials, l=l)
 
     labels = window.labels

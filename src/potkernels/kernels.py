@@ -17,12 +17,13 @@ functions call after checking `admissibility()`:
 - `hypotheses` and `prediction(f_class, alpha, **declared)`: the limit
   hypotheses that `normalizers.predict` reads, and the theorem they select.
 
-The one-pole families (min, exp, AR1, AR1Shifted) state their Gaussian
-chain once, `_chain(n)`; its tridiagonal precision gives `generator(size)`
-and the closed window inverses, and ScaledMinKernel scales that of the min
-chain of s by b b^T. A `DenseKernelWindow` keeps its `inverse` from first
-read: the closed one where it exists, else a dense solve, each passing the
-same condition and residual checks of `_checked_inverse`.
+The autoregressive families (min, exp, AR1, AR1Shifted, ARk, ARkGen) state
+their Gaussian chain once, `_chain(lo, hi)`, and its `_order`; the banded
+precision of that chain gives `generator(size)` and the closed window
+inverses, and ScaledMinKernel scales that of the min chain of s by b b^T. A
+`DenseKernelWindow` keeps its `inverse` from first read: the closed one where
+it exists, else a dense solve (rank-one updates and bare matrices), each
+passing the same condition and residual checks of `_checked_inverse`.
 
 A family's config is its dataclass fields: `to_config` writes them under a
 `family` tag and `KernelSpec.from_config` reads them back.
@@ -404,9 +405,8 @@ class _Derived(KernelSpec):
     `base`; the subclass keeps its own config and admissibility bound.
     """
 
-    @property
-    def hypotheses(self):
-        return self.base.hypotheses
+    hypotheses = property(lambda self: self.base.hypotheses)
+    _order = property(lambda self: self.base._order)
 
     def window_entries(self, window):
         return self.base.window_entries(window)
@@ -416,6 +416,9 @@ class _Derived(KernelSpec):
 
     def diagonal(self, n):
         return self.base.diagonal(n)
+
+    def _chain(self, lo, hi):
+        return self.base._chain(lo, hi)
 
     def _window_precision(self, window):
         return self.base._window_precision(window)
@@ -431,10 +434,10 @@ class _FirstInnovationScaled(_Derived):
     """An autoregression `base` whose first innovation is scaled.
 
     With t the base's response to the first innovation, the kernel is the
-    base kernel plus `_weight` t t^T and the generator differs from the
-    base only at [0, 0], where -Q holds `_corner`. The path stream scales
-    the first innovation by `_first_scale`. Subclasses give these and
-    `_response(n)`, each in the arithmetic of their own parametrization.
+    base kernel plus `_weight` t t^T; the chain is the base's, with its first
+    innovation in the head block that `_Chain` takes from the kernel. The
+    path stream scales the first innovation by `_first_scale`. Subclasses
+    give these and `_response(n)`, each in their own parametrization.
     """
 
     def window_entries(self, window):
@@ -443,11 +446,6 @@ class _FirstInnovationScaled(_Derived):
 
     def diagonal(self, n):
         return self.base.diagonal(n) + self._weight * self._response(n) ** 2
-
-    def generator(self, size):
-        Q, band = self.base.generator(size)
-        Q[0, 0] = -self._corner
-        return Q, band
 
     def path_stream(self, n_max, rng, rows, chunk):
         return self.base.path_stream(
@@ -496,35 +494,53 @@ def _min_entries(s, window):
     return s[np.minimum.outer(idx, idx)]
 
 
-def _chain_precision(a, w):
-    """Precision L^T diag(w) L of the chain y[j] = a[j] y[j-1] + g[j]/sqrt(w[j]).
+def _chain_precision(a, w, head):
+    """Precision of a window of y[j] = sum_i a[i-1, j] y[j-i] + g[j] / sqrt(w[j]).
 
-    L is unit lower bidiagonal with -a[j] at [j, j-1]; a[0] is unused and
-    w[0] is the inverse variance of y[0] (Rue & Held, Gaussian Markov
-    Random Fields, 2005, ch. 2).
+    head is the precision of the window's first k values, the inverse of
+    the kernel there; a, one row per lag, and w hold the chain at the m
+    later values. Each adds w[j] l_j l_j^T, with l_j row j of the unit lower
+    band factor: 1 at j and -a[i-1, j] at j - i (Rue & Held, Gaussian Markov
+    Random Fields, 2005, ch. 2). The band is written one diagonal at a time,
+    so every entry beyond band k is an exact zero.
     """
-    P = np.diag(w + np.append(a[1:] ** 2 * w[1:], 0.0))
-    i = np.arange(w.size - 1)
-    P[i, i + 1] = P[i + 1, i] = -a[1:] * w[1:]
+    k = head.shape[0]
+    n = k + w.size
+    c = np.empty((a.shape[0] + 1, w.size))     # c[e, j - k] = l_j[j - e]
+    c[0] = 1.0
+    np.negative(a, out=c[1:])
+    P = np.zeros((n, n))
+    flat = P.reshape(-1)
+    for d in range(min(c.shape[0], n)):
+        band = flat[d * n :: n + 1]           # diagonal -d, a view
+        for e in range(d, c.shape[0]):
+            band[k - e : n - e] += c[e] * c[e - d] * w
+        flat[d : (n - d) * n : n + 1] = band
+    P[:k, :k] += head
     return P
 
 
-class _OnePole(KernelSpec):
-    """A family whose Gaussian sequence is the one-pole chain (a, w) = `_chain(n)`.
+class _Chain(KernelSpec):
+    """A family whose Gaussian sequence is a chain of `_order` k.
 
-    The generator is minus the leading block of the chain precision over
-    one more index. A window's precision is that of its own chain: w[0]
-    is 1/U[l+1, l+1], the rest as in the whole chain.
+    `_chain(lo, hi)` gives (a, w) at the 0-based indices lo .. hi-1, lo >= k.
+    A window's precision is `_chain_precision` with the inverse of the
+    kernel on its first k values as head: 1/U[l+1, l+1] from the diagonal
+    for k = 1. The generator is minus the leading block of the precision
+    over k more values, which the band never leaves.
     """
 
+    _order = 1
+
     def generator(self, size):
-        return -_chain_precision(*self._chain(size + 1))[:size, :size], 1
+        k = self._order
+        return -self._window_precision(Window(0, size + k))[:size, :size], k
 
     def _window_precision(self, window):
-        l = window.l
-        a, w = self._chain(l + window.n)
-        w0 = 1.0 / self.diagonal(l + 1)[l]
-        return _chain_precision(a[l:], np.concatenate(([w0], w[l + 1 :])))
+        l, k = window.l, min(self._order, window.n)
+        head = (1.0 / self.diagonal(l + 1)[l:] if k == 1
+                else np.linalg.inv(self.window_entries(Window(l, k))))
+        return _chain_precision(*self._chain(l + k, l + window.n), head)
 
 
 def _stored(values, n, name):
@@ -544,7 +560,7 @@ def _stream_min(s, b, rng, rows, n_max, chunk):
 
 @_register
 @dataclass(frozen=True, eq=False)
-class MinKernel(_OnePole):
+class MinKernel(_Chain):
     """V[j,k] = s[min(j,k)] for strictly increasing positive s."""
 
     s: np.ndarray
@@ -558,9 +574,10 @@ class MinKernel(_OnePole):
     def window_entries(self, window):
         return _min_entries(self.s, window)
 
-    def _chain(self, n):
-        # independent increments of variance s[j] - s[j-1], from s[-1] = 0
-        return np.ones(n), 1.0 / np.diff(_stored(self.s, n, "s"), prepend=0.0)
+    def _chain(self, lo, hi):
+        # independent increments of variance s[j] - s[j-1]
+        s = _stored(self.s, hi, "s")
+        return np.ones((1, hi - lo)), 1.0 / (s[lo:] - s[lo - 1 : -1])
 
     def diagonal(self, n):
         return _stored(self.s, n, "s").copy()
@@ -577,7 +594,7 @@ class MinKernel(_OnePole):
 
 @_register
 @dataclass(frozen=True, eq=False)
-class ScaledMinKernel(KernelSpec):
+class ScaledMinKernel(_Chain):
     """W[j,k] = s[min(j,k)] / (b[j] b[k])."""
 
     s: np.ndarray
@@ -598,12 +615,8 @@ class ScaledMinKernel(KernelSpec):
         b = self.b[window.l : window.l + window.n]
         return _min_entries(self.s, window) / np.outer(b, b)
 
-    def generator(self, size):
-        # the min chain of s divided by b: its precision times b b^T
-        Q, band = MinKernel(self.s).generator(size)
-        return Q * np.outer(self.b[:size], self.b[:size]), band
-
     def _window_precision(self, window):
+        # the min chain of s divided by b: its precision times b b^T
         b = self.b[window.l : window.l + window.n]
         return MinKernel(self.s)._window_precision(window) * np.outer(b, b)
 
@@ -623,7 +636,7 @@ class ScaledMinKernel(KernelSpec):
 
 @_register
 @dataclass(frozen=True, eq=False)
-class ExpKernel(_OnePole):
+class ExpKernel(_Chain):
     """W[j,k] = exp(-|v[j] - v[k]|) for strictly increasing v."""
 
     v: np.ndarray
@@ -651,11 +664,11 @@ class ExpKernel(_OnePole):
         v = self.v[window.l : window.l + window.n]
         return np.exp(-np.abs(np.subtract.outer(v, v)))
 
-    def _chain(self, n):
+    def _chain(self, lo, hi):
         # stationary unit variance; in gap form, finite for any v
-        g = np.diff(_stored(self.v, n, "v"))
-        a = np.concatenate(([0.0], np.exp(-g)))
-        return a, np.concatenate(([1.0], 1.0 / -np.expm1(-2.0 * g)))
+        v = _stored(self.v, hi, "v")
+        g = v[lo:] - v[lo - 1 : -1]
+        return np.exp(-g)[None], 1.0 / -np.expm1(-2.0 * g)
 
     def diagonal(self, n):
         return np.ones_like(_stored(self.v, n, "v"))
@@ -681,7 +694,7 @@ class ExpKernel(_OnePole):
 
 @_register
 @dataclass(frozen=True, eq=False)
-class AR1(_OnePole):
+class AR1(_Chain):
     """Covariance of xi[n] = x[n-1] xi[n-1] + g[n] with iid standard g.
 
     x in (0, 1], non-decreasing. Entries carry the product form
@@ -704,7 +717,8 @@ class AR1(_OnePole):
         if n > self.x.size + 1:
             raise ValueError("x too short for requested diagonal")
         d = np.ones(n)
-        d[1:] = _one_pole(self.x[: n - 1] ** 2, d[1:], 1.0)
+        if n > 1:          # a window's head asks for one value, with no filter
+            d[1:] = _one_pole(self.x[: n - 1] ** 2, d[1:], 1.0)
         return d
 
     def window_entries(self, window):
@@ -722,8 +736,8 @@ class AR1(_OnePole):
         upper = np.triu(np.cumprod(steps, axis=1))
         return upper + np.triu(upper, 1).T
 
-    def _chain(self, n):
-        return np.concatenate(([0.0], _stored(self.x, n - 1, "x"))), np.ones(n)
+    def _chain(self, lo, hi):
+        return _stored(self.x, hi - 1, "x")[None, lo - 1 :], np.ones(hi - lo)
 
     def path_stream(self, n_max, rng, rows, chunk, first_scale=1.0):
         # xi[1] = first_scale g[1], xi[n] = x[n-1] xi[n-1] + g[n]
@@ -740,7 +754,7 @@ class AR1(_OnePole):
 
 @_register
 @dataclass(frozen=True, eq=False)
-class AR1Shifted(_OnePole, _FirstInnovationScaled):
+class AR1Shifted(_Chain, _FirstInnovationScaled):
     """AR1 with the first innovation scaled by delta_tilde."""
 
     x: np.ndarray
@@ -759,11 +773,6 @@ class AR1Shifted(_OnePole, _FirstInnovationScaled):
 
     _first_scale = property(lambda self: self.delta_tilde)
     _weight = property(lambda self: self.delta_tilde**2 - 1.0)
-
-    def _chain(self, n):
-        a, w = self.base._chain(n)
-        w[0] = 1.0 / self.delta_tilde**2
-        return a, w
 
     def _response(self, n):
         # t[j] = prod(x[:j-1]), the response of xi[j] to the first innovation
@@ -784,7 +793,7 @@ class AR1Shifted(_OnePole, _FirstInnovationScaled):
 
 @_register
 @dataclass(frozen=True, eq=False)
-class ARk(KernelSpec):
+class ARk(_Chain):
     """Covariance of xi[n] = sum(p[l] xi[n-l]) + g[n], sum(p) <= 1.
 
     ``p_non_increasing`` records whether the generator construction is
@@ -802,13 +811,8 @@ class ARk(KernelSpec):
         if self.p.sum() > 1.0 + 1e-12:
             raise ValueError("sum(p) must be <= 1")
 
-    @property
-    def k(self):
-        return self.p.size
-
-    @property
-    def p_non_increasing(self):
-        return bool(np.all(np.diff(self.p) <= 0))
+    k = _order = property(lambda self: self.p.size)
+    p_non_increasing = property(lambda self: bool(np.all(np.diff(self.p) <= 0)))
 
     def window_entries(self, window):
         hi = window.l + window.n
@@ -829,15 +833,11 @@ class ARk(KernelSpec):
                 "ARk generator requires non-increasing p; increasing weights can "
                 "flip off-diagonal signs",
             )
-        p, k = self.p, self.k
-        A = np.zeros((size, size))
-        np.fill_diagonal(A, 1.0 + np.sum(p**2))
-        for d in range(1, min(k, size - 1) + 1):
-            val = -p[d - 1] + np.dot(p[: k - d], p[d:k])
-            idx = np.arange(size - d)
-            A[idx, idx + d] = val
-            A[idx + d, idx] = val
-        return -A, k
+        return _Chain.generator(self, size)
+
+    def _chain(self, lo, hi):
+        # p in every row, unit innovations
+        return np.broadcast_to(self.p[:, None], (self.k, hi - lo)), np.ones(hi - lo)
 
     def diagonal(self, n):
         return np.cumsum(phi_recursive(self.p, n).values ** 2)
@@ -861,7 +861,7 @@ class ARk(KernelSpec):
 
 @_register
 @dataclass(frozen=True, eq=False)
-class ARkGen(_FirstInnovationScaled):
+class ARkGen(_Chain, _FirstInnovationScaled):
     """ARk with first innovation g[1]/a; kernel gains ((1-a^2)/a^2) phi phi^T."""
 
     p: np.ndarray
@@ -880,7 +880,9 @@ class ARkGen(_FirstInnovationScaled):
 
     _first_scale = property(lambda self: 1.0 / np.sqrt(self.a_sq))
     _weight = property(lambda self: (1.0 - self.a_sq) / self.a_sq)
-    _corner = property(lambda self: self.a_sq + np.sum(self.p**2))
+    _order = ARk._order
+    p_non_increasing = ARk.p_non_increasing
+    generator = ARk.generator
 
     def _response(self, n):
         return phi_recursive(self.p, n).values
@@ -1119,7 +1121,8 @@ def _checked_inverse(U, inv=None):
     """Read-only inverse of a kernel window and its residual max |inv U - I|.
 
     A DenseKernelWindow answers with its `inverse`. For a matrix, `inv` is
-    a closed inverse to check, or None for a dense solve. Every inverse is
+    a closed inverse to check, or None for a dense solve, which only the
+    windows of rank-one updates and bare matrices take. Every inverse is
     refused when the window is singular, when ||U||_1 ||U^{-1}||_1 exceeds
     CONDITION_LIMIT, or when the residual exceeds DENSE_CHECK_TOL
     max(1, cond/100); no family has a check of its own.
@@ -1181,40 +1184,25 @@ def verify_duality(spec, window):
     size = window.l + window.n
     G = build_generator(spec, size)
     U = build_kernel(spec, Window(0, size)).entries
-    interior = G.interior_rows
-    excluded = size - interior.size
-    checks = {}
-    worst = ("", -1, 0.0)
-
-    resid = G.entries @ U + np.eye(size)
-    sub = np.abs(resid[interior, :])
-    checks["generator-times-kernel"] = float(sub.max()) if sub.size else 0.0
-    if sub.size:
-        r = int(np.unravel_index(np.argmax(sub), sub.shape)[0])
-        worst = ("generator-times-kernel", int(interior[r]) + 1, checks["generator-times-kernel"])
-
-    # U Q is exact on columns whose band lies inside; for symmetric families
-    # it mirrors the row check, for rank-one updates it does not
-    residc = U @ G.entries + np.eye(size)
-    subc = np.abs(residc[:, interior])
-    checks["kernel-times-generator"] = float(subc.max()) if subc.size else 0.0
-    if subc.size and checks["kernel-times-generator"] > worst[2]:
-        c = int(np.unravel_index(np.argmax(subc), subc.shape)[1])
-        worst = ("kernel-times-generator", int(interior[c]) + 1, checks["kernel-times-generator"])
-
-    if isinstance(spec, ARk):
+    interior, eye = G.interior_rows, np.eye(size)
+    # (name, |residual|, axis of the interior labels); U Q is exact on columns
+    # whose band lies inside, a mirror of Q U but for rank-one updates
+    parts = [
+        ("generator-times-kernel", np.abs(G.entries @ U + eye)[interior, :], 0),
+        ("kernel-times-generator", np.abs(U @ G.entries + eye)[:, interior], 1),
+    ]
+    if isinstance(spec, ARk):      # the band is k, so interior rows are 0..size-k-1
         L = ark_band_factor(spec, size)
-        A = -G.entries
-        prod = L.T @ L
-        k = spec.k
-        inner = np.abs(prod - A)[: size - k, : size - k]
-        checks["band-factorization"] = float(inner.max()) if inner.size else 0.0
-        if inner.size and checks["band-factorization"] > worst[2]:
-            r = int(np.unravel_index(np.argmax(inner), inner.shape)[0])
-            worst = ("band-factorization", r + 1, checks["band-factorization"])
-
+        parts.append(("band-factorization", np.abs(L.T @ L + G.entries)[
+            np.ix_(interior, interior)], 0))
+    checks, worst = {}, ("", -1, 0.0)
+    for name, sub, axis in parts:
+        checks[name] = float(sub.max()) if sub.size else 0.0
+        if sub.size and (checks[name] > worst[2] or not worst[0]):
+            at = np.unravel_index(np.argmax(sub), sub.shape)[axis]
+            worst = (name, int(interior[at]) + 1, checks[name])
     return DualityReport(
-        checks=checks, excluded_rows=excluded, worst=worst, tol=DUALITY_TOL
+        checks=checks, excluded_rows=size - interior.size, worst=worst, tol=DUALITY_TOL
     )
 
 

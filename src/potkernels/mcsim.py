@@ -26,6 +26,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import betainc, gammainc
 
+from .excessive import PotentialFunction
 from .identities import IdentityError
 from .kernels import ExpKernel, Window, build_kernel
 from .normalizers import koval
@@ -130,17 +131,17 @@ def sample_gaussian(spec, n, seed, trials=1):
 def _f_values(f, l, n):
     if f is None:
         return np.zeros(n)
-    values = getattr(f, "values", None)
-    if values is not None:
-        start = getattr(f, "start", 1)
-        lo = l + 1 - start
-        if lo < 0 or lo + n > len(values):
-            raise ValueError("f does not cover the requested window")
-        return _as_values(np.asarray(values, dtype=float)[lo : lo + n].copy(), n)
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim != 1 or arr.size < l + n:
+    if isinstance(f, PotentialFunction):
+        return _as_values(f.on_window(Window(l, n)).copy(), n)
+    arr = np.asarray(f)
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        raise TypeError(
+            "f must be None, a PotentialFunction or a 1-d sequence of numbers, "
+            f"not {type(f).__name__}"
+        )
+    if arr.size < l + n:
         raise ValueError(f"f must cover labels 1..{l + n}")
-    return _as_values(arr[l : l + n].copy(), n)
+    return _as_values(arr[l : l + n].astype(float), n)
 
 
 def sample_permanental(spec, f, k_half, n, seed, trials=1, l=0):

@@ -128,8 +128,13 @@ def analyze(K_ext, U_window, f_window):
     against dense inversion of K_ext; nu is computed both as the
     determinant ratio det(A_sym)/det(A) and through the closed form
     (1 + rho) - m U m^T, and the two must agree. The window inverse is
-    the checked one of `kernels`: the closed chain precision of a one-pole
-    family's window, else a dense solve.
+    the checked one of `kernels`: the closed chain precision of an
+    autoregressive family's window, else a dense solve.
+
+    An entry of c = U^{-T} f or r = U^{-1} 1 within its dot-product error
+    bound, n eps (|U^{-1}|^T f)_i or n eps (|U^{-1}| 1)_i (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, sec. 3.1), is zero before
+    anything reads it; m = sqrt(c r) would lift its round-off to 1e-7 in nu.
     """
     U = _as_matrix(U_window)
     n = U.shape[0]
@@ -144,6 +149,9 @@ def analyze(K_ext, U_window, f_window):
 
     c = Uinv.T @ f
     r = Uinv.sum(axis=1)
+    err, absinv = n * np.finfo(float).eps, np.abs(Uinv)
+    c[np.abs(c) <= err * (absinv.T @ f)] = 0.0
+    r[np.abs(r) <= err * absinv.sum(axis=1)] = 0.0
     rho = float(c.sum())
 
     A = np.empty((n + 1, n + 1))

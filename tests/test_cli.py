@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import potkernels
-from potkernels import MinKernel, kernels
+from potkernels import kernels
 from potkernels.cli import _RUNNERS, main
 
 
@@ -140,27 +140,25 @@ class TestValidate:
 
     @pytest.mark.parametrize("spec", [min_spec(12), {"family": "ark", "p": [0.5, 0.25]}])
     def test_window_is_inverted_once(self, tmp_path, monkeypatch, spec):
-        # an inversion is a closed chain precision or a dense solve; the
-        # window's checked inverse serves every check of the command
-        calls = {"closed": 0, "solve": 0}
+        # one checked inversion of a matrix, the window's closed chain
+        # precision, serves every check of the command; nothing is solved
+        calls = {"inversions": 0, "solve": 0}
+        checked, solve = kernels._checked_inverse, np.linalg.solve
 
-        def counted(key, real):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return real(*args, **kwargs)
-            return wrapper
+        def counted_inverse(U, inv=None):
+            calls["inversions"] += not isinstance(U, kernels.DenseKernelWindow)
+            return checked(U, inv)
 
-        monkeypatch.setattr(
-            MinKernel, "_window_precision",
-            counted("closed", MinKernel._window_precision),
-        )
-        monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+        def counted_solve(*args, **kwargs):
+            calls["solve"] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_checked_inverse", counted_inverse)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
         cfg = {"command": "validate", "spec": spec, "window": {"l": 2, "n": 8}}
         code, _ = run_cli(tmp_path, cfg)
         assert code == 0
-        assert calls["closed"] + calls["solve"] == 1
-        if spec["family"] == "min":
-            assert calls["solve"] == 0
+        assert calls == {"inversions": 1, "solve": 0}
 
     def test_killed_walk_branch(self, tmp_path):
         cfg = {
@@ -297,6 +295,16 @@ class TestSimulate:
         marginals = (outdir / "marginals.csv").read_text().splitlines()
         assert marginals[0] == "index,observed_mean,expected_mean"
         assert len(marginals) == 1 + 8
+
+    def test_window_past_the_origin_takes_f_on_the_window(self, tmp_path):
+        # f is given on labels 3..10; it used to be read as from label 1
+        cfg = dict(self.simulate_config(), l=2)
+        code, outdir = run_cli(tmp_path, cfg)
+        assert code == 0
+        doc = read_json(outdir, "simulate.json")
+        assert doc["rho"]["value"] > 0.0
+        rows = (outdir / "marginals.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [str(j) for j in range(3, 11)]
 
     def test_seed_pins_samples_and_override_changes_them(self, tmp_path):
         _, out1 = run_cli(tmp_path, self.simulate_config(), outname="out1")
@@ -441,6 +449,38 @@ class TestSymmetrize:
         # the chain precision keeps the two routes of nu together. Round-off in
         # P 1 and P^T f still makes some draws refuse (ROADMAP item 2)
         code, outdir = run_cli(tmp_path, self.min_like_config(family, n, seed=2))
+        assert code == 0
+        doc = read_json(outdir, "symmetrize.json")
+        assert 1.0 <= doc["nu"]["value"] <= 1.0 + doc["rho"]["value"]
+
+
+    # PCG64 (state, has_uint32, uinteger) of the window-analytic benchmark at
+    # seed 1 just before it draws its scaled-min symmetrize inputs at n
+    SCALED_MIN_SEED1 = {
+        100: (60177728552029898033711280754753287958, 0, 798932040),
+        400: (154976363469766044805001197855089685035, 1, 3272243555),
+    }
+    SEED1_INC = 231986847983001667667541278771414391591
+
+    @pytest.mark.parametrize("n", [100, 400])
+    def test_window_analytic_scaled_min_ledger_completes(self, tmp_path, n):
+        # round-off of about 1e-13 in U^{-T} f, where h is zero, used to put
+        # the two routes of nu 3e-7 apart; within its error bound it is zero
+        state, has_uint32, uinteger = self.SCALED_MIN_SEED1[n]
+        rng = np.random.default_rng()
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": self.SEED1_INC},
+            "has_uint32": has_uint32, "uinteger": uinteger,
+        }
+        size = n + 30
+        s = rng.uniform(0.2, 1.0) + np.cumsum(rng.uniform(0.2, 2.0, size))
+        b = rng.uniform(0.5, 2.0) * np.sqrt(s)
+        h = rng.dirichlet(np.ones(int(rng.integers(3, 12)))) * rng.uniform(0.5, 2.0)
+        cfg = {"command": "symmetrize",
+               "spec": {"family": "scaled_min", "s": s.tolist(), "b": b.tolist()},
+               "window": {"l": 0, "n": n}, "f": {"density": h.tolist(), "start": 1}}
+        code, outdir = run_cli(tmp_path, cfg)
         assert code == 0
         doc = read_json(outdir, "symmetrize.json")
         assert 1.0 <= doc["nu"]["value"] <= 1.0 + doc["rho"]["value"]

@@ -440,6 +440,42 @@ class TestTiledStreams:
             assert_stream_equal(got, refs[case])
 
 
+class IdentityRng:
+    """`standard_normal` that hands out the columns of the identity, in draw order.
+
+    Path i of a stream with `rows` paths gets the unit vector e_i as its
+    sequence of draws, 1-d starts and 2-d chunk tiles alike, so the stacked
+    paths are the transpose of the stream's linear map from draws to values.
+    """
+
+    def __init__(self, rows):
+        self._eye = np.eye(rows)
+        self._row = self._col = 0
+
+    def standard_normal(self, shape):
+        rows, cols = (shape, 1) if np.ndim(shape) == 0 else shape
+        block = self._eye[self._row : self._row + rows, self._col : self._col + cols]
+        self._row += rows
+        if self._row == self._eye.shape[0]:
+            self._row, self._col = 0, self._col + cols
+        return block.copy().reshape(shape)
+
+
+class TestStreamCovariance:
+    @pytest.mark.parametrize("tile", [1, 2, 3])
+    @pytest.mark.parametrize("family", sorted(STREAMED))
+    def test_identity_draws_give_the_kernel(self, family, tile, monkeypatch):
+        # with draws e_i the stream is R = M^T for paths M g, so R^T R = M M^T
+        spec = STREAMED[family]
+        rows = STREAM_N + (spec.family == "exp")     # exp draws its start first
+        monkeypatch.setattr(kernels, "ROW_TILE", tile)
+        R = np.hstack(list(spec.path_stream(
+            STREAM_N, IdentityRng(rows), rows, STREAM_CHUNK
+        )))
+        U = dense_window(spec, Window(0, STREAM_N))
+        assert np.abs(R.T @ R - U).max() <= 1e-14 * np.abs(U).max()
+
+
 class TestShiftAdmissibility:
     def test_ar1_shift_bound(self):
         # admissibility cap at x = 1/2 is delta^2 < 1/(x1 (1 - x1)) = 4
@@ -568,11 +604,25 @@ def shifted_scaled(r, size):
 
 
 # ledger refusals that come from round-off: nu and K_isymi lose their last
-# digits where sqrt(c r) lifts stray entries of P 1 and P^T f
+# digits where sqrt(c r) lifts stray entries of a dense U^{-1} 1 and U^{-T} f
 ROUNDOFF_REFUSALS = {"nu-two-routes", "isymi-block-identity"}
 
+
+def ark_p(r):
+    # non-increasing or increasing p of order 1-3, with sum(p) < 1 or unit drift
+    p = np.sort(r.uniform(0.1, 1.0, int(r.integers(1, 4))))
+    p = p[::-1] if r.integers(2) else p
+    return p / p.sum() * (1.0 if r.integers(2) else r.uniform(0.5, 0.95))
+
+
+def ark_gen(r):
+    p = ark_p(r)
+    lower = ARkGen(p=p, a_sq=1.0).admissibility().bound[0]
+    return ARkGen(p=p, a_sq=lower + r.uniform(0.1, 1.0))
+
+
 # family -> spec of that family with `size` stored values
-ONE_POLE_BUILDERS = {
+CHAIN_BUILDERS = {
     "min": lambda r, size: MinKernel(s=random_increasing_s(r, size)),
     "scaled_min": lambda r, size: ScaledMinKernel(*scaled_min_parts(r, size)),
     "shifted_scaled": shifted_scaled,
@@ -581,6 +631,8 @@ ONE_POLE_BUILDERS = {
     "ar1_shifted": lambda r, size: AR1Shifted(
         x=np.sort(r.uniform(0.3, 0.95, size)), delta_tilde=r.uniform(0.6, 1.8)
     ),
+    "ark": lambda r, size: ARk(p=ark_p(r)),
+    "ark_gen": lambda r, size: ark_gen(r),
 }
 
 
@@ -590,11 +642,11 @@ def scaled_min_sqrt(r, size):
     return ScaledMinKernel(s=s, b=r.uniform(0.5, 2.0) * np.sqrt(s))
 
 
-# the one-pole builders, and scaled-min and shifted-scaled specs whose
+# the chain builders, and scaled-min and shifted-scaled specs whose
 # window inverses mostly keep nonnegative row sums, so that their ledgers
 # complete on both routes and get compared
 LEDGER_BUILDERS = {
-    **ONE_POLE_BUILDERS,
+    **CHAIN_BUILDERS,
     "scaled_min_sqrt": scaled_min_sqrt,
     "shifted_scaled_constant": lambda r, size: ShiftedScaled(
         s=random_increasing_s(r, size), b=np.full(size, r.uniform(0.5, 2.0)),
@@ -604,7 +656,7 @@ LEDGER_BUILDERS = {
 
 
 @st.composite
-def one_pole_windows(draw, n_min=1, n_max=30, builders=ONE_POLE_BUILDERS):
+def chain_windows(draw, n_min=1, n_max=30, builders=CHAIN_BUILDERS):
     family = draw(st.sampled_from(sorted(builders)))
     l, n = draw(st.integers(0, 20)), draw(st.integers(n_min, n_max))
     r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -617,25 +669,31 @@ class TestOnePoleChains:
             spec.family for spec in ROUND_TRIP_SPECS
             if spec._window_precision(Window(0, 2)) is not None
         }
-        assert set(ONE_POLE_BUILDERS) == closed
+        assert set(CHAIN_BUILDERS) == closed
 
-    @settings(max_examples=150, deadline=None)
-    @given(case=one_pole_windows())
+    @settings(max_examples=200, deadline=None)
+    @given(case=chain_windows())
     def test_window_inverse_and_generator_are_the_chain_precision(self, case):
         spec, w = case
+        k = spec._order
         U = dense_window(spec, w)
         P = window_inverse(spec, w)
-        assert not np.triu(P, 2).any() and not np.tril(P, -2).any()
+        assert not np.triu(P, k + 1).any() and not np.tril(P, -k - 1).any()
         cond = np.linalg.norm(U, 1) * np.linalg.norm(P, 1)
         bound = kernels.DENSE_CHECK_TOL * max(1.0, cond / 1e2)
         assert np.abs(P @ U - np.eye(w.n)).max() <= bound
-        # the generator is minus the leading block of the precision of one
-        # more value, which the residual above checks against the kernel
+        # the generator is minus the leading block of the precision of k
+        # more values, which the residual above checks against the kernel
         size = w.l + w.n
-        G, band = spec.generator(size)
-        assert band == 1
-        chain = window_inverse(spec, Window(0, size + 1))[:size, :size]
-        np.testing.assert_allclose(-G, chain, rtol=1e-12, atol=0)
+        if isinstance(spec, (ARk, ARkGen)) and not spec.p_non_increasing:
+            with pytest.raises(IdentityError) as err:
+                build_generator(spec, size)
+            assert err.value.key == "q-matrix-signs"
+            return
+        G = build_generator(spec, size)
+        assert G.band == k
+        chain = window_inverse(spec, Window(0, size + k))[:size, :size]
+        np.testing.assert_array_equal(-G.entries, chain)
 
     def test_min_closed_form_passes_the_shared_check(self):
         # a large min precision (increments down to 1.7e-3) that a dense
@@ -653,7 +711,7 @@ class TestOnePoleChains:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        case=one_pole_windows(n_min=2, n_max=40, builders=LEDGER_BUILDERS),
+        case=chain_windows(n_min=2, n_max=40, builders=LEDGER_BUILDERS),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_ledger_takes_the_chain_precision(self, case, seed):
@@ -668,14 +726,17 @@ class TestOnePoleChains:
             except IdentityError as exc:
                 outcomes.append(exc.key)
         closed, dense = outcomes
-        if not isinstance(closed, str):
-            B = closed.A[1:, 1:]
-            assert not np.triu(B, 2).any() and not np.tril(B, -2).any()
-        keys = {o for o in outcomes if isinstance(o, str)}
-        if keys:
-            # a sign refusal belongs to the drawn spec, so both routes make it;
-            # round-off refusals of either route stay open (ROADMAP item 2)
-            assert closed == dense == "inverse-m-matrix" or keys <= ROUNDOFF_REFUSALS
+        if isinstance(closed, str):
+            # only a sign refusal, which belongs to the drawn spec, so both
+            # routes make it
+            assert closed == dense == "inverse-m-matrix"
+            return
+        k = spec._order
+        B = closed.A[1:, 1:]
+        assert not np.triu(B, k + 1).any() and not np.tril(B, -k - 1).any()
+        if isinstance(dense, str):
+            # the dense reference keeps round-off beyond the band
+            assert dense in ROUNDOFF_REFUSALS
             return
         # normwise, as r = U^{-1} 1 and c = U^{-T} f: the dense reference loses
         # digits of a near-zero entry in proportion to the inverse, not to it

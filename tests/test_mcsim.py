@@ -14,11 +14,13 @@ from potkernels import (
     AR1Shifted,
     ARk,
     ARkGen,
+    DensitySequence,
     ExperimentConfig,
     ExpKernel,
     IdentityError,
     KilledWalk,
     MinKernel,
+    PotentialFunction,
     RankOneUpdate,
     ScaledMinKernel,
     ShiftedScaled,
@@ -298,6 +300,33 @@ class TestPotentialPart:
                     call()
             assert type(err.value) is ValueError
             assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "bad", [DensitySequence(values=[1.0, 2.0, 3.0], tail=5.0),
+                {"values": [1.0, 2.0, 3.0]}, [[1.0, 2.0, 3.0]]],
+    )
+    def test_refuses_what_is_not_f(self, bad):
+        # a density h has `.values` too; sampling it as f would be silent
+        spec = ExpKernel(v=np.arange(1.0, 11.0))
+        calls = (
+            lambda: sample_permanental(spec, bad, 1, 3, seed=1),
+            lambda: gamma_marginal_test(spec, bad, 0.5, [1, 3], 100, seed=1),
+        )
+        for call in calls:
+            with pytest.raises(TypeError, match=type(bad).__name__):
+                call()
+
+    def test_potential_function_is_placed_by_its_start(self):
+        spec = ExpKernel(v=np.arange(1.0, 11.0))
+        values = np.linspace(0.5, 1.0, 8)
+        f = PotentialFunction(values=values, start=3)
+        labelled = np.concatenate((np.zeros(2), values))
+        for l in (2, 4):
+            got = sample_permanental(spec, f, 1, 5, seed=1, l=l)
+            ref = sample_permanental(spec, labelled, 1, 5, seed=1, l=l)
+            assert np.array_equal(got.values, ref.values)
+        with pytest.raises(ValueError, match="extends past stored f"):
+            sample_permanental(spec, f, 1, 5, seed=1, l=1)
 
 
 class TestTrendExperiment:
