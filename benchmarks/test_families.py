@@ -7,6 +7,9 @@ delegation. Two rows have time-varying coefficients: exp on an uneven grid
 and AR1 with x_j = 1 - c / sqrt(j). Their recurrences take the blocked scan
 of `kernels._one_pole` where `exp` and `ar1` take `lfilter`, so each pair of
 rows gives the varying against the constant cost per sample.
+`test_killed_walk_stream` times a `sample_gaussian` of 10^4 paths over the
+401 sites of a killed walk with radius 200: one band Cholesky factorization
+of its precision and one triangular band solve per row tile.
 
 The directory sits outside `testpaths`, so the test suite does not collect
 it. Run it from a source checkout:
@@ -23,6 +26,7 @@ from potkernels import (
     ARk,
     ARkGen,
     ExpKernel,
+    KilledWalk,
     MinKernel,
     ScaledMinKernel,
     ShiftedScaled,
@@ -66,3 +70,9 @@ def test_stream(benchmark, family):
     spec = FAMILIES[family](N)
     batch = benchmark(sample_gaussian, spec, N, 7, ROWS)
     assert batch.values.shape == (ROWS, N)
+
+
+def test_killed_walk_stream(benchmark):
+    spec = KilledWalk(step_rates={-1: 0.5, 1: 0.5}, beta=1.0, radius=200)
+    batch = benchmark(sample_gaussian, spec, 401, 7, 10_000)
+    assert batch.values.shape == (10_000, 401)

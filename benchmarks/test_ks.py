@@ -11,7 +11,9 @@ and filtered with nothing after it. `test_window_inverse` times
 n = 400 and 2000: building the window and the closed chain precision of
 each, with its condition estimate and residual check, the same for all
 five. The ARk and ARkGen precisions have band 2 and a head block that is
-the inverse of the kernel on the window's first two values.
+the inverse of the kernel on the window's first two values. One more row
+takes a rank-one update of a min kernel, bumped at (1, 3) as the
+`window-analytic` workload bumps it, on Window(0, 300), which holds the bump.
 
 The directory sits outside `testpaths`, so the test suite does not collect
 it. Run it from a source checkout:
@@ -28,6 +30,7 @@ from potkernels import (
     ARkGen,
     ExpKernel,
     MinKernel,
+    RankOneUpdate,
     Window,
     gamma_marginal_test,
     window_inverse,
@@ -50,7 +53,16 @@ WINDOW_FAMILIES = {
     "ar1": lambda n: AR1(x=np.full(n + 1, 0.5)),
     "ark": lambda n: ARk(p=(0.5, 0.25)),
     "ark_gen": lambda n: ARkGen(p=(0.5, 0.25), a_sq=0.4),
+    "rank_one_update": lambda n: RankOneUpdate(
+        base=MinKernel(s=np.arange(1.0, n + 2.0)), k=1, l=3, b=0.4
+    ),
 }
+# (family, n, l): the chain families from l = 1, and the rank-one update from
+# l = 0, so that its window holds k and l
+WINDOW_ROWS = [
+    (family, n, 1) for n in (400, 2000) for family in sorted(WINDOW_FAMILIES)
+    if family != "rank_one_update"
+] + [("rank_one_update", 300, 0)]
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5])
@@ -73,8 +85,9 @@ def test_stream(benchmark):
     assert last.shape == (3 * SAMPLES, 30)
 
 
-@pytest.mark.parametrize("n", [400, 2000])
-@pytest.mark.parametrize("family", sorted(WINDOW_FAMILIES))
-def test_window_inverse(benchmark, family, n):
-    inverse = benchmark(window_inverse, WINDOW_FAMILIES[family](n), Window(1, n))
+@pytest.mark.parametrize(
+    "family, n, l", WINDOW_ROWS, ids=[f"{f}-{n}" for f, n, _ in WINDOW_ROWS]
+)
+def test_window_inverse(benchmark, family, n, l):
+    inverse = benchmark(window_inverse, WINDOW_FAMILIES[family](n), Window(l, n))
     assert inverse.shape == (n, n)

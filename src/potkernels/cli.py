@@ -18,16 +18,15 @@ from .argen import c_star, phi_closed, phi_recursive
 from .excessive import (
     DensitySequence,
     PotentialFunction,
+    _window_rho,
     apply_potential,
     classify_excessive,
-    rho,
 )
 from .identities import IdentityError
 from .kernels import (
     KernelSpec,
     KilledWalk,
     Window,
-    build_generator,
     build_kernel,
     check_inverse_m_matrix,
     check_q_matrix,
@@ -212,8 +211,7 @@ def _run_validate(cfg, seed, outdir, quiet):
             }
         )
 
-        G = build_generator(spec, window.l + window.n)
-        qrep = check_q_matrix(G)
+        qrep = check_q_matrix(dual.generator)
         if not qrep.ok:
             raise IdentityError("q-matrix-signs", f"violations: {list(qrep.violations)}")
         checks.append(
@@ -233,7 +231,7 @@ def _run_validate(cfg, seed, outdir, quiet):
 
         if "f" in cfg:
             fw = _parse_f(cfg["f"], spec, window)
-            r = rho(spec, fw, window)
+            r = _window_rho(U, fw)
             checks.append(
                 {
                     "citation": "rho-quadratic-form",

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .identities import IdentityError
-from .kernels import MinKernel, Window, build_kernel, window_inverse
+from .kernels import MinKernel, Window, build_kernel
 
 RATIO_SLACK = 1e-10        # relative slack before a ratio increase counts
 DELTA_FLAT_TOL = 1e-6      # terminal-segment spread for a reliable slope
@@ -224,13 +224,17 @@ def rho(spec, f, window):
     fw = f.on_window(window) if isinstance(f, PotentialFunction) else np.asarray(f, float)
     if fw.size != window.n:
         raise ValueError("f must cover the window")
-    inv = window_inverse(spec, window)
-    value = float(inv.sum(axis=0) @ fw)
+    return _window_rho(build_kernel(spec, window), fw)
+
+
+def _window_rho(kernel, fw):
+    """rho of the values fw on a DenseKernelWindow, from its checked inverse."""
+    value = float(kernel.inverse[0].sum(axis=0) @ fw)
     scale = max(1.0, float(np.abs(fw).max()))
     if value < -1e-10 * scale:
         raise IdentityError("rho-nonnegative", f"rho = {value:.3e} < 0")
-    if isinstance(spec, MinKernel):
-        closed = fw[0] / spec.s[window.l]
+    if isinstance(kernel.spec, MinKernel):
+        closed = fw[0] / kernel.spec.s[kernel.window.l]
         if abs(value - closed) > 1e-10 * scale:
             raise IdentityError(
                 "rho-min-closed-form",

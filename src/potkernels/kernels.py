@@ -11,8 +11,8 @@ functions call after checking `admissibility()`:
 - `generator(size)`: truncated generator and its band (`build_generator`);
 - `diagonal(n)`: U[j,j] for j = 1..n (`mcsim.kernel_diagonal`);
 - `path_stream(n_max, rng, rows, chunk)`: chunked Gaussian paths with the
-  kernel as covariance, or None where only the dense route of
-  `path_covariance(n)` exists (rank-one updates, the killed walk);
+  kernel as covariance; the killed walk's solve with the band Cholesky
+  factor of its precision, and the base's refusal for rank-one updates;
 - `admissibility()`: the family's `AdmissibilityDecision`;
 - `hypotheses` and `prediction(f_class, alpha, **declared)`: the limit
   hypotheses that `normalizers.predict` reads, and the theorem they select.
@@ -20,10 +20,10 @@ functions call after checking `admissibility()`:
 The autoregressive families (min, exp, AR1, AR1Shifted, ARk, ARkGen) state
 their Gaussian chain once, `_chain(lo, hi)`, and its `_order`; the banded
 precision of that chain gives `generator(size)` and the closed window
-inverses, and ScaledMinKernel scales that of the min chain of s by b b^T. A
-`DenseKernelWindow` keeps its `inverse` from first read: the closed one where
-it exists, else a dense solve (rank-one updates and bare matrices), each
-passing the same condition and residual checks of `_checked_inverse`.
+inverses, and ScaledMinKernel scales that of the min chain of s by b b^T; a
+rank-one update takes b off it at (k, l). A `DenseKernelWindow` keeps its
+`inverse` from first read: the closed one where it exists, else a dense
+solve, each passing the condition and residual checks of `_checked_inverse`.
 
 A family's config is its dataclass fields: `to_config` writes them under a
 `family` tag and `KernelSpec.from_config` reads them back.
@@ -39,6 +39,7 @@ from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
+from scipy.linalg import cholesky_banded, lapack
 from scipy.signal import lfilter
 
 from .argen import phi_recursive
@@ -340,10 +341,7 @@ class KernelSpec:
         return doc
 
     def path_stream(self, n_max, rng, rows, chunk):
-        return None
-
-    def path_covariance(self, n):
-        return self.window_entries(Window(0, n))
+        raise ValueError("sample_gaussian needs a symmetric kernel family")
 
     def admissibility(self):
         return _NO_CONSTRAINT
@@ -978,6 +976,16 @@ class RankOneUpdate(KernelSpec):
         Q[self.k - 1, self.l - 1] += self.b
         return Q, max(band, abs(self.k - self.l))
 
+    def _window_precision(self, window):
+        # E(k, l) in the window block of the Schur complement that inverts a
+        # window holding k and l: the base's precision less b at (k, l)
+        ki, li = self.k - window.l - 1, self.l - window.l - 1
+        inside = 0 <= ki < window.n and 0 <= li < window.n
+        P = self.base._window_precision(window) if inside else None
+        if P is not None:
+            P[ki, li] -= self.b
+        return P
+
     def diagonal(self, n):
         return np.diag(self.window_entries(Window(0, n))).copy()
 
@@ -1024,14 +1032,33 @@ class KilledWalk(KernelSpec):
         band = max(abs(d) for d in self.step_rates)
         return G - self.beta * np.eye(G.shape[0]), band
 
-    def diagonal(self, n):
-        raise TypeError("no diagonal closed form for KilledWalk")
+    def _require_sites(self, n):
+        if n != 2 * self.radius + 1:
+            raise ValueError(f"killed walk sampling needs n = {2 * self.radius + 1} sites")
+        return n
 
-    def path_covariance(self, n):
-        entries = killed_walk_potential(self).kernel.entries
-        if n != entries.shape[0]:
-            raise ValueError(f"killed walk sampling needs n = {entries.shape[0]} sites")
-        return entries
+    def diagonal(self, n):
+        self._require_sites(n)
+        return np.diag(killed_walk_potential(self).kernel.entries).copy()
+
+    def path_stream(self, n_max, rng, rows, chunk):
+        # paths F^{-1} g over the lattice as one chunk, F^T F = -Q = beta I - G:
+        # covariance U exactly (Rue & Held, Gaussian Markov Random Fields, 2.4)
+        size = self._require_sites(n_max)
+        rates = self.step_rates
+        if any(r != rates.get(-d, 0.0) for d, r in rates.items()):
+            raise ValueError("sample_gaussian needs a symmetric kernel family")
+        Q, w = self.generator(size)
+        w = min(w, size - 1)
+        upper = np.zeros((w + 1, size))            # upper[w + i - j, j] = -Q[i, j]
+        for d in range(w + 1):
+            upper[w - d, d:] = -np.diagonal(Q, d)
+        factor = cholesky_banded(upper)
+
+        def filt(g, j0, r):      # one triangular band solve, in place on g
+            return lapack.dtbtrs(factor, g.T, overwrite_b=1)[0].T
+
+        return _filtered_chunks(rng, rows, size, size, filt)
 
     def prediction(self, f_class, alpha):
         if f_class != "zero":
@@ -1121,8 +1148,8 @@ def _checked_inverse(U, inv=None):
     """Read-only inverse of a kernel window and its residual max |inv U - I|.
 
     A DenseKernelWindow answers with its `inverse`. For a matrix, `inv` is
-    a closed inverse to check, or None for a dense solve, which only the
-    windows of rank-one updates and bare matrices take. Every inverse is
+    a closed inverse to check, or None for a dense solve, which only bare
+    matrices and rank-one windows that miss k or l take. Every inverse is
     refused when the window is singular, when ||U||_1 ||U^{-1}||_1 exceeds
     CONDITION_LIMIT, or when the residual exceeds DENSE_CHECK_TOL
     max(1, cond/100); no family has a check of its own.
@@ -1167,6 +1194,7 @@ class DualityReport:
     excluded_rows: int
     worst: tuple            # (check name, row label, residual)
     tol: float
+    generator: GeneratorMatrix
 
     @property
     def ok(self):
@@ -1179,7 +1207,7 @@ def verify_duality(spec, window):
     Runs Q U + I on rows whose band lies inside the truncation, the band
     factorization check for ARk, and the kernel-times-generator identity on
     the columns it is exact for. Boundary rows/columns are counted, not
-    asserted.
+    asserted. The report keeps the generator it checked.
     """
     size = window.l + window.n
     G = build_generator(spec, size)
@@ -1202,7 +1230,8 @@ def verify_duality(spec, window):
             at = np.unravel_index(np.argmax(sub), sub.shape)[axis]
             worst = (name, int(interior[at]) + 1, checks[name])
     return DualityReport(
-        checks=checks, excluded_rows=size - interior.size, worst=worst, tol=DUALITY_TOL
+        checks=checks, excluded_rows=size - interior.size, worst=worst,
+        tol=DUALITY_TOL, generator=G,
     )
 
 
@@ -1311,11 +1340,6 @@ def _rank_one_decision(b, u_lk):
         bound=(-np.inf, float(upper)),
         detail=f"b < 1/U[l,k] = {upper:.6g}",
     )
-
-
-def decide_shift_admissible(spec):
-    """Admissibility decision for shifted and generalized families."""
-    return spec.admissibility()
 
 
 # ---------------------------------------------------------------------------

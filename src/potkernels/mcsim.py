@@ -2,11 +2,13 @@
 
 Gaussian paths are generated through the defining recursions of each kernel
 family (independent increments for min kernels, one-pole filters for
-exponential and autoregressive kernels), so covariances are exact and the
-work per index is O(1). Permanental samples with half-integer alpha are sums
-of squared Gaussian replicas over the symmetrized kernel U + a a^T, with the
-sandwich weights attached to quantify the distance to the law of the
-original non-symmetric kernel.
+exponential and autoregressive kernels, a band Cholesky factor of the
+precision for the killed walk), so covariances are exact and the work per
+index is O(order or band); a rank-one update, not symmetric, is refused.
+Permanental samples with half-integer alpha are sums of squared Gaussian
+replicas over the symmetrized kernel U + a a^T, with the sandwich weights
+attached to quantify the distance to the law of the original non-symmetric
+kernel.
 
 Trend experiments stream running maxima at constant memory per trial. Each
 trial owns a counter-based RNG stream split from the master seed, so trials
@@ -37,7 +39,6 @@ KS_CRITICAL_5PCT = 1.3581
 KS_KNOT_STRIDE = 32
 # CDF round-off allowed against monotonicity when intervals are pruned
 KS_MONOTONE_SLACK = 1e-12
-JITTER_ATTEMPTS = 3
 
 
 def _trial_rng(seed, trial):
@@ -51,40 +52,19 @@ def _chunk_size(rows):
 
 
 def _path_stream(spec, n_max, rng, rows, chunk=None):
-    """Chunked zero-mean Gaussian paths with the kernel as covariance."""
+    """Chunked zero-mean Gaussian paths with the kernel as covariance; the
+    one route of every sampler (`KernelSpec.path_stream` refuses the rest)."""
     spec.admissibility().require()
     return spec.path_stream(n_max, rng, rows, chunk or _chunk_size(rows))
-
-
-def _dense_paths(spec, n, rng, rows):
-    entries = np.asarray(spec.path_covariance(n), dtype=float)
-    if np.abs(entries - entries.T).max() > 1e-10 * max(1.0, np.abs(entries).max()):
-        raise ValueError("sample_gaussian needs a symmetric kernel family")
-    jitter = 0.0
-    base = 1e-12 * max(1.0, float(np.trace(entries)) / n)
-    for attempt in range(JITTER_ATTEMPTS + 1):
-        try:
-            L = np.linalg.cholesky(entries + jitter * np.eye(n))
-            break
-        except np.linalg.LinAlgError:
-            jitter = base * 100.0**attempt
-    else:
-        raise IdentityError(
-            "gaussian-covariance", "factorization failed after jitter escalation"
-        )
-    return rng.standard_normal((rows, n)) @ L.T
 
 
 def _gaussian_paths(spec, n_max, rng, rows, cols=None):
     """rows Gaussian paths of n_max steps, kept at the increasing 0-based
     columns `cols` (all by default) as each chunk of the stream arrives."""
     cols = np.arange(n_max) if cols is None else np.asarray(cols)
-    stream = _path_stream(spec, n_max, rng, rows)
-    if stream is None:
-        return _dense_paths(spec, n_max, rng, rows)[:, cols]
     kept = np.empty((rows, cols.size))
     j0 = 0
-    for block in stream:
+    for block in _path_stream(spec, n_max, rng, rows):
         lo, hi = np.searchsorted(cols, (j0, j0 + block.shape[1]))
         kept[:, lo:hi] = block[:, cols[lo:hi] - j0]
         j0 += block.shape[1]
@@ -120,8 +100,8 @@ class SampleBatch:
 def sample_gaussian(spec, n, seed, trials=1):
     """Gaussian sample paths with covariance build_kernel(spec, Window(0, n)).
 
-    O(n) per path for the structured families, dense factorization with
-    jitter escalation otherwise.
+    O(n) per path through the family's `path_stream`; the killed walk needs
+    n = 2R + 1 and symmetric rates, and a rank-one update is refused.
     """
     rng = _trial_rng(seed, 0)
     values = _gaussian_paths(spec, n, rng, trials)
@@ -398,12 +378,7 @@ def limsup_experiment(config, prediction=None):
         carry = -np.inf
         cp_pos = 0
         j0 = 0
-        stream = _path_stream(stream_spec, n_max, rng, rows)
-        if stream is None:
-            raise TypeError(
-                f"{type(stream_spec).__name__} has no streaming sampler"
-            )
-        for block in stream:
+        for block in _path_stream(stream_spec, n_max, rng, rows):
             m = block.shape[1]
             if lil:
                 X = block[0] / ratio_norm[j0 : j0 + m]

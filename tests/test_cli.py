@@ -41,6 +41,15 @@ def exp_spec(size, gap=0.5):
     return {"family": "exp", "v": [gap * j for j in range(1, size + 1)]}
 
 
+def window_analytic_rank_one(seed, size):
+    """A rank-one update of a min kernel, drawn as the window-analytic
+    benchmark draws it: a bump at (1, 3) with b < 1/U[3,1] = 1/s1."""
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0.2, 1.0) + np.cumsum(rng.uniform(0.2, 2.0, size))
+    return {"family": "rank_one_update", "base": {"family": "min", "s": s.tolist()},
+            "k": 1, "l": 3, "b": float(rng.uniform(0.2, 0.6) / s[0])}
+
+
 class TestCStar:
     def test_constants_are_quoted(self, tmp_path):
         code, outdir = run_cli(tmp_path, cstar_config())
@@ -138,12 +147,24 @@ class TestValidate:
         assert code == 1
         assert "excessive-ratio-test" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spec", [min_spec(12), {"family": "ark", "p": [0.5, 0.25]}])
-    def test_window_is_inverted_once(self, tmp_path, monkeypatch, spec):
-        # one checked inversion of a matrix, the window's closed chain
-        # precision, serves every check of the command; nothing is solved
-        calls = {"inversions": 0, "solve": 0}
+    @pytest.mark.parametrize(
+        "spec, l, f",
+        [
+            (min_spec(12), 2, None),
+            ({"family": "ark", "p": [0.5, 0.25]}, 2, None),
+            (min_spec(12), 2, {"density": [0.5, 0.25, 0.25], "start": 3}),
+            (window_analytic_rank_one(seed=5, size=38), 0,
+             {"density": [0.4, 0.35, 0.25], "start": 1}),
+        ],
+        ids=["spec0", "spec1", "min-f", "rank_one_update-f"],
+    )
+    def test_window_is_inverted_once(self, tmp_path, monkeypatch, spec, l, f):
+        # one checked inversion of a matrix, the window's closed precision,
+        # and one generator serve every check of the command, the rho of f
+        # included; nothing is solved
+        calls = {"inversions": 0, "solve": 0, "generators": 0}
         checked, solve = kernels._checked_inverse, np.linalg.solve
+        generator = kernels.GeneratorMatrix
 
         def counted_inverse(U, inv=None):
             calls["inversions"] += not isinstance(U, kernels.DenseKernelWindow)
@@ -153,12 +174,19 @@ class TestValidate:
             calls["solve"] += 1
             return solve(*args, **kwargs)
 
+        def counted_generator(*args, **kwargs):
+            calls["generators"] += 1
+            return generator(*args, **kwargs)
+
         monkeypatch.setattr(kernels, "_checked_inverse", counted_inverse)
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
-        cfg = {"command": "validate", "spec": spec, "window": {"l": 2, "n": 8}}
+        monkeypatch.setattr(kernels, "GeneratorMatrix", counted_generator)
+        cfg = {"command": "validate", "spec": spec, "window": {"l": l, "n": 8}}
+        if f is not None:
+            cfg["f"] = f
         code, _ = run_cli(tmp_path, cfg)
         assert code == 0
-        assert calls == {"inversions": 1, "solve": 0}
+        assert calls == {"inversions": 1, "solve": 0, "generators": 1}
 
     def test_killed_walk_branch(self, tmp_path):
         cfg = {
@@ -315,6 +343,22 @@ class TestSimulate:
         first = (out1 / "samples.csv").read_bytes()
         assert first == (out2 / "samples.csv").read_bytes()
         assert first != (out3 / "samples.csv").read_bytes()
+
+    def test_killed_walk_samples_its_whole_lattice(self, tmp_path, capsys):
+        # n = 2R + 1 sites; the expected means are alpha U[j,j] of the potential
+        spec = {"family": "killed_walk", "step_rates": {"-1": 0.5, "1": 0.5},
+                "beta": 1.0, "radius": 4}
+        cfg = {"command": "simulate", "spec": spec, "n": 9, "k_half": 1,
+               "trials": 5, "seed": 3}
+        code, outdir = run_cli(tmp_path, cfg, outname="out9")
+        assert code == 0
+        rows = (outdir / "marginals.csv").read_text().splitlines()[1:]
+        U = potkernels.killed_walk_potential(kernels.KernelSpec.from_config(spec))
+        expected = [float(row.split(",")[2]) for row in rows]
+        assert expected == (0.5 * np.diag(U.kernel.entries)).tolist()
+        code, _ = run_cli(tmp_path, dict(cfg, n=8), outname="out8")
+        assert code == 2
+        assert "needs n = 9 sites" in capsys.readouterr().err
 
 
 BAND_FAMILIES = {

@@ -31,7 +31,6 @@ from potkernels import (
     check_inverse_m_matrix,
     check_q_matrix,
     decay_envelope,
-    decide_shift_admissible,
     extend,
     kernel_diagonal,
     killed_walk_potential,
@@ -475,21 +474,55 @@ class TestStreamCovariance:
         U = dense_window(spec, Window(0, STREAM_N))
         assert np.abs(R.T @ R - U).max() <= 1e-14 * np.abs(U).max()
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=st.deferred(lambda: chain_windows(n_min=2)),   # strategy defined below
+        tile=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_drawn_chain_streams_give_the_kernel(self, case, tile, data):
+        spec, w = case
+        n = w.l + w.n                        # the spec stores n + 1 values
+        chunk = data.draw(st.integers(1, n - 1), label="chunk")
+        rows = n + (spec.family == "exp")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "ROW_TILE", tile)
+            R = np.hstack(list(spec.path_stream(n, IdentityRng(rows), rows, chunk)))
+        U = dense_window(spec, Window(0, n))
+        assert np.abs(R.T @ R - U).max() <= 1e-14 * np.abs(U).max()
+
+    @pytest.mark.parametrize("tile", [1, 2, 3])
+    @pytest.mark.parametrize("radius", [1, 7])
+    @pytest.mark.parametrize("beta", [0.03, 1.0])
+    @pytest.mark.parametrize(
+        "rates", [{-1: 0.5, 1: 0.5}, {-1: 0.5, 1: 0.5, -3: 0.1, 3: 0.1}],
+        ids=["nearest", "with-3"],
+    )
+    def test_killed_walk_stream_gives_the_potential(self, rates, beta, radius, tile,
+                                                    monkeypatch):
+        # the whole lattice is one chunk, whatever chunk is asked for
+        spec = KilledWalk(step_rates=rates, beta=beta, radius=radius)
+        n = 2 * radius + 1
+        monkeypatch.setattr(kernels, "ROW_TILE", tile)
+        R = np.hstack(list(spec.path_stream(n, IdentityRng(n), n, 2)))
+        U = killed_walk_potential(spec).kernel.entries
+        assert np.abs(R.T @ R - U).max() <= 1e-14 * np.abs(U).max()
+
 
 class TestShiftAdmissibility:
     def test_ar1_shift_bound(self):
         # admissibility cap at x = 1/2 is delta^2 < 1/(x1 (1 - x1)) = 4
         x = np.full(6, 0.5)
-        assert decide_shift_admissible(AR1Shifted(x=x, delta_tilde=1.9)).admissible
+        assert AR1Shifted(x=x, delta_tilde=1.9).admissibility().admissible
         bad = AR1Shifted(x=x, delta_tilde=2.1)
-        assert not decide_shift_admissible(bad).admissible
+        assert not bad.admissibility().admissible
         with pytest.raises(IdentityError):
-            decide_shift_admissible(bad).require()
+            bad.admissibility().require()
 
     def test_arkgen_threshold(self):
         # p = (1/2, 1/4) admits a^2 above 5/16 only
-        assert decide_shift_admissible(ARkGen(p=(0.5, 0.25), a_sq=0.4)).admissible
-        assert not decide_shift_admissible(ARkGen(p=(0.5, 0.25), a_sq=0.3)).admissible
+        assert ARkGen(p=(0.5, 0.25), a_sq=0.4).admissibility().admissible
+        assert not ARkGen(p=(0.5, 0.25), a_sq=0.3).admissibility().admissible
 
     @pytest.mark.parametrize(
         "entry",
@@ -517,7 +550,7 @@ class TestShiftAdmissibility:
         ids=["shifted_scaled", "ar1_shifted", "ark_gen"],
     )
     def test_every_entry_point_refuses_inadmissible(self, spec, key, entry):
-        assert not decide_shift_admissible(spec).admissible
+        assert not spec.admissibility().admissible
         with pytest.raises(IdentityError) as info:
             entry(spec)
         assert info.value.key == key
@@ -694,6 +727,33 @@ class TestOnePoleChains:
         assert G.band == k
         chain = window_inverse(spec, Window(0, size + k))[:size, :size]
         np.testing.assert_array_equal(-G.entries, chain)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=chain_windows(n_min=2), data=st.data())
+    def test_rank_one_window_takes_the_base_precision_less_b(self, case, data):
+        base, w = case
+        hi = w.l + w.n
+        # k and l at most 3 apart, as the benchmark's (1, 3): b up to 0.9/U[l,k]
+        # then keeps the window within the condition limit
+        k = data.draw(st.integers(1, hi), label="k")
+        l = data.draw(st.integers(max(1, k - 3), min(hi, k + 3)).filter(
+            lambda j: j != k), label="l")
+        U = dense_window(base, Window(0, hi))
+        b = data.draw(st.floats(0.05, 0.9), label="b U[l,k]") / U[l - 1, k - 1]
+        spec = RankOneUpdate(base=base, k=k, l=l, b=b)
+        P = window_inverse(spec, w)
+        ki, li = k - w.l - 1, l - w.l - 1
+        if min(ki, li) < 0:
+            # a window that misses k or l has no closed form and is solved
+            assert spec._window_precision(w) is None
+        else:
+            expected = window_inverse(base, w).copy()
+            expected[ki, li] -= b
+            np.testing.assert_array_equal(P, expected)
+        W = dense_window(spec, w)
+        cond = np.linalg.norm(W, 1) * np.linalg.norm(P, 1)
+        bound = kernels.DENSE_CHECK_TOL * max(1.0, cond / 1e2)
+        assert np.abs(P @ W - np.eye(w.n)).max() <= bound
 
     def test_min_closed_form_passes_the_shared_check(self):
         # a large min precision (increments down to 1.7e-3) that a dense

@@ -119,6 +119,32 @@ class TestGaussianSampler:
         with pytest.raises(ValueError):
             sample_gaussian(spec, 6, seed=1, trials=2)
 
+    def test_asymmetric_walk_refused(self):
+        spec = KilledWalk(step_rates={-1: 0.3, 1: 0.7}, beta=1.0, radius=4)
+        with pytest.raises(ValueError, match="needs a symmetric kernel family"):
+            sample_gaussian(spec, 9, seed=5, trials=2)
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            lambda spec: sample_gaussian(spec, 6, seed=1, trials=2),
+            lambda spec: sample_permanental(spec, None, 1, 6, seed=1, trials=2),
+            lambda spec: gamma_marginal_test(spec, None, 0.5, [2, 6], 20, seed=1),
+            lambda spec: limsup_experiment(
+                ExperimentConfig(spec=spec, alpha=0.5, checkpoints=(3, 6),
+                                 trials=1, seed=1),
+                predict(ExpKernel(v=np.arange(6.0)), "zero", 0.5, gaps="separated"),
+            ),
+        ],
+        ids=["sample_gaussian", "sample_permanental", "gamma_marginal_test",
+             "limsup_experiment"],
+    )
+    def test_rank_one_update_refused_by_every_sampler(self, sample):
+        # the one family with no stream; no sampler takes another route
+        spec = RankOneUpdate(base=ExpKernel(v=np.arange(6.0)), k=1, l=2, b=0.5)
+        with pytest.raises(ValueError, match="needs a symmetric kernel family"):
+            sample(spec)
+
 
 class TestKernelDiagonal:
     @pytest.mark.parametrize(
