@@ -10,6 +10,9 @@ rows gives the varying against the constant cost per sample.
 `test_killed_walk_stream` times a `sample_gaussian` of 10^4 paths over the
 401 sites of a killed walk with radius 200: one band Cholesky factorization
 of its precision and one triangular band solve per row tile.
+`test_killed_walk_stream_1e6` times a 3-row `sample_gaussian` over the
+999,999 sites of a killed walk with radius 499,999, whose band is written
+straight from the rates.
 
 The directory sits outside `testpaths`, so the test suite does not collect
 it. Run it from a source checkout:
@@ -76,3 +79,9 @@ def test_killed_walk_stream(benchmark):
     spec = KilledWalk(step_rates={-1: 0.5, 1: 0.5}, beta=1.0, radius=200)
     batch = benchmark(sample_gaussian, spec, 401, 7, 10_000)
     assert batch.values.shape == (10_000, 401)
+
+
+def test_killed_walk_stream_1e6(benchmark):
+    spec = KilledWalk(step_rates={-1: 0.5, 1: 0.5}, beta=1.0, radius=499_999)
+    batch = benchmark(sample_gaussian, spec, 999_999, 7, ROWS)
+    assert batch.values.shape == (ROWS, 999_999)

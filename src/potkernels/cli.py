@@ -170,6 +170,10 @@ def _run_validate(cfg, seed, outdir, quiet):
     window = _window(cfg["window"])
     checks = []
     if isinstance(spec, KilledWalk):
+        # the potential is checked on the whole lattice; no rho identity yet
+        spec._require_sites(window.n, window.l)
+        if "f" in cfg:
+            raise ConfigError("validate takes no f for a killed_walk spec")
         result = killed_walk_potential(spec)
         checks.append(
             {
@@ -527,11 +531,6 @@ def _load_config(path):
         raise ConfigError(f"unknown command: {command!r}")
     required, optional = _SCHEMAS[command]
     _check_fields(doc, {**_COMMON, **required, **optional}, required, "config")
-    # a killed walk lives on Z, not on the windows of a sequence that these
-    # commands invert, extend or stream
-    walk = doc.get("spec", {}).get("family") == "killed_walk"
-    if walk and command in ("invert", "symmetrize", "limsup"):
-        raise ConfigError(f"{command} does not take a killed_walk spec")
     return command, doc
 
 

@@ -31,6 +31,10 @@ A family's config is its dataclass fields: `to_config` writes them under a
 The shifted families delegate to the family they are built from, `base`:
 `ShiftedScaled` is `ScaledMinKernel(s + Delta, b)`, and `AR1Shifted` and
 `ARkGen` are AR1 and ARk with the first innovation scaled.
+
+The killed walk lives on Z. `_walk_band` writes its precision beta I - G
+once, from the rates, as a band that its stream factors and its generator
+and potential expand; it has no windows, and takes only its whole lattice.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -1024,17 +1028,16 @@ class KilledWalk(KernelSpec):
             raise ValueError("radius must be >= 1")
 
     def window_entries(self, window):
-        raise TypeError("KilledWalk lives on Z; use killed_walk_potential")
+        raise ValueError("killed_walk has no kernel windows; use killed_walk_potential")
 
     def generator(self, size):
-        # the whole truncated lattice, whatever the size asked for
-        G = _walk_generator(self)
+        # the whole lattice, whatever the size asked for; 0 - M keeps +0.0 off the band
         band = max(abs(d) for d in self.step_rates)
-        return G - self.beta * np.eye(G.shape[0]), band
+        return 0.0 - _band_matrix(_walk_band(self)), band
 
-    def _require_sites(self, n):
-        if n != 2 * self.radius + 1:
-            raise ValueError(f"killed walk sampling needs n = {2 * self.radius + 1} sites")
+    def _require_sites(self, n, l=0):
+        if l != 0 or n != 2 * self.radius + 1:
+            raise ValueError(f"killed_walk needs n = {2 * self.radius + 1} sites from l = 0")
         return n
 
     def diagonal(self, n):
@@ -1042,18 +1045,14 @@ class KilledWalk(KernelSpec):
         return np.diag(killed_walk_potential(self).kernel.entries).copy()
 
     def path_stream(self, n_max, rng, rows, chunk):
-        # paths F^{-1} g over the lattice as one chunk, F^T F = -Q = beta I - G:
-        # covariance U exactly (Rue & Held, Gaussian Markov Random Fields, 2.4)
+        # paths F^{-1} g, F^T F = beta I - G from the upper half of its band, one
+        # chunk: covariance U exactly (Rue & Held, Gaussian Markov Random Fields, 2.4)
         size = self._require_sites(n_max)
         rates = self.step_rates
         if any(r != rates.get(-d, 0.0) for d, r in rates.items()):
             raise ValueError("sample_gaussian needs a symmetric kernel family")
-        Q, w = self.generator(size)
-        w = min(w, size - 1)
-        upper = np.zeros((w + 1, size))            # upper[w + i - j, j] = -Q[i, j]
-        for d in range(w + 1):
-            upper[w - d, d:] = -np.diagonal(Q, d)
-        factor = cholesky_banded(upper)
+        band = _walk_band(self)
+        factor = cholesky_banded(band[: band.shape[0] // 2 + 1])
 
         def filt(g, j0, r):      # one triangular band solve, in place on g
             return lapack.dtbtrs(factor, g.T, overwrite_b=1)[0].T
@@ -1122,22 +1121,27 @@ def ark_band_factor(spec, size):
     return L
 
 
-def _walk_generator(spec):
-    R = spec.radius
-    size = 2 * R + 1
-    G = np.zeros((size, size))
-    total = sum(spec.step_rates.values())
-    np.fill_diagonal(G, -total)
+def _walk_band(spec):
+    """beta I - G on {-R..R} from the rates, in `scipy.linalg` general band
+    storage band[w + i - j, j]: w is the widest offset, capped at 2R, since a
+    longer jump leaves the lattice, is killed, and adds to the diagonal only."""
+    size = 2 * spec.radius + 1
+    w = min(max(abs(d) for d in spec.step_rates), size - 1)
+    band = np.zeros((2 * w + 1, size))
+    band[w] = spec.beta + sum(spec.step_rates.values())
     for d, r in spec.step_rates.items():
-        if r == 0.0:
-            continue
-        if abs(d) < size:
-            idx = np.arange(size - abs(d))
-            if d > 0:
-                G[idx, idx + d] = r
-            else:
-                G[idx + abs(d), idx] = r
-    return G
+        if r != 0.0 and abs(d) < size:     # G[i, i + d] = r
+            band[w - d, max(d, 0) : size + min(d, 0)] = -r
+    return band
+
+
+def _band_matrix(band):
+    # the dense square matrix of a general band store with half widths w, w
+    w, size = band.shape[0] // 2, band.shape[1]
+    M = np.zeros((size, size))
+    for d in range(-w, w + 1):         # M[i, i + d] = band[w - d, i + d]
+        np.fill_diagonal(M[max(-d, 0) :, max(d, 0) :], band[w - d, max(d, 0) : size + min(d, 0)])
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -1363,13 +1367,12 @@ class KilledWalkResult:
 def killed_walk_potential(spec):
     """Potential of the killed walk on the truncated lattice {-R..R}.
 
-    Solves (beta I - G) U = I with absorbing truncation. Away from the
-    boundary the row sums approach 1/beta and the diagonal is flat; both
-    gaps shrink as the radius grows.
+    Solves (beta I - G) U = I, expanded from the band `_walk_band` that the
+    stream factors, with absorbing truncation. Away from the boundary the row
+    sums approach 1/beta and the diagonal is flat; both gaps shrink as R grows.
     """
-    G = _walk_generator(spec)
-    size = G.shape[0]
-    U = np.linalg.solve(spec.beta * np.eye(size) - G, np.eye(size))
+    size = 2 * spec.radius + 1
+    U = np.linalg.solve(_band_matrix(_walk_band(spec)), np.eye(size))
     sites = np.arange(-spec.radius, spec.radius + 1)
     interior = np.abs(sites) <= spec.radius // 2
     row_sums = U.sum(axis=1)

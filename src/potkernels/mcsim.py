@@ -124,6 +124,17 @@ def _f_values(f, l, n):
     return _as_values(arr[l : l + n].astype(float), n)
 
 
+def _replica_draws(spec, n_max, cols, seed, count, k_half, a):
+    """count permanental draws at the 0-based columns cols: k_half Gaussian
+    replicas per draw, each shifted by a xi (a given at cols), then squared
+    and halved, all from the RNG stream (seed, 0)."""
+    rng = _trial_rng(seed, 0)
+    paths = _gaussian_paths(spec, n_max, rng, count * k_half, cols)
+    xi = rng.standard_normal((count, k_half))
+    shifted = paths.reshape(count, k_half, cols.size) + a[None, None, :] * xi[:, :, None]
+    return (shifted**2).sum(axis=1) / 2.0
+
+
 def sample_permanental(spec, f, k_half, n, seed, trials=1, l=0):
     """Permanental samples with alpha = k_half/2 over the window (l, n).
 
@@ -150,12 +161,7 @@ def sample_permanental(spec, f, k_half, n, seed, trials=1, l=0):
         rho = 0.0
     weights = sandwich_factor(alpha, rho)
 
-    rng = _trial_rng(seed, 0)
-    rows = trials * k_half
-    paths = _gaussian_paths(spec, l + n, rng, rows, np.arange(l, l + n))
-    xi = rng.standard_normal((trials, k_half))
-    shifted = paths.reshape(trials, k_half, n) + a_vec[None, None, :] * xi[:, :, None]
-    values = (shifted**2).sum(axis=1) / 2.0
+    values = _replica_draws(spec, l + n, np.arange(l, l + n), seed, trials, k_half, a_vec)
     return SampleBatch(
         values=values,
         spec=spec,
@@ -245,19 +251,8 @@ def gamma_marginal_test(spec, f, alpha, indices, m_samples, seed):
         raise ValueError("m_samples must be >= 1")
     n_max = int(idx[-1])
     fw = _f_values(f, 0, n_max)
-    a = np.sqrt(fw)
     scale = kernel_diagonal(spec, n_max) + fw
-
-    rng = _trial_rng(seed, 0)
-    rows = m_samples * k_half
-    cols = idx - 1
-    paths_at = _gaussian_paths(spec, n_max, rng, rows, cols)
-    xi = rng.standard_normal((m_samples, k_half))
-    shifted = (
-        paths_at.reshape(m_samples, k_half, idx.size)
-        + a[cols][None, None, :] * xi[:, :, None]
-    )
-    X = (shifted**2).sum(axis=1) / 2.0
+    X = _replica_draws(spec, n_max, idx - 1, seed, m_samples, k_half, np.sqrt(fw[idx - 1]))
 
     critical = KS_CRITICAL_5PCT / np.sqrt(m_samples)
     records = []

@@ -197,13 +197,32 @@ class TestValidate:
                 "beta": 1.0,
                 "radius": 40,
             },
-            "window": {"l": 0, "n": 5},
+            "window": {"l": 0, "n": 81},
         }
         code, outdir = run_cli(tmp_path, cfg)
         assert code == 0
         doc = read_json(outdir, "validate.json")
         citations = {c["citation"] for c in doc["checks"]}
         assert citations == {"killed-walk-row-sums", "killed-walk-flat-diagonal"}
+
+    WALK = {"family": "killed_walk", "step_rates": {"-1": 0.5, "1": 0.5},
+            "beta": 1.0, "radius": 4}
+
+    @pytest.mark.parametrize("l, n", [(3, 2), (0, 5), (1, 9)])
+    def test_killed_walk_checks_its_whole_lattice_only(self, tmp_path, capsys, l, n):
+        cfg = {"command": "validate", "spec": self.WALK, "window": {"l": l, "n": n}}
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert "killed_walk needs n = 9 sites from l = 0" in capsys.readouterr().err
+
+    def test_killed_walk_refuses_f(self, tmp_path, capsys):
+        # the walk has no rho identity, so an f would go unchecked
+        cfg = {"command": "validate", "spec": self.WALK, "window": {"l": 0, "n": 9},
+               "f": {"values": [5] * 9}}
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "killed_walk" in err
 
 
 class TestInvert:
@@ -360,6 +379,17 @@ class TestSimulate:
         assert code == 2
         assert "needs n = 9 sites" in capsys.readouterr().err
 
+    def test_killed_walk_with_f_exits_two(self, tmp_path, capsys):
+        # the ledger needs kernel windows, which the walk refuses by name
+        spec = {"family": "killed_walk", "step_rates": {"-1": 0.5, "1": 0.5},
+                "beta": 1.0, "radius": 4}
+        cfg = {"command": "simulate", "spec": spec, "n": 9, "k_half": 1,
+               "trials": 5, "seed": 3, "f": {"values": [0.1] * 9}}
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "killed_walk" in err
+
 
 BAND_FAMILIES = {
     "exp": (
@@ -431,6 +461,27 @@ class TestLimsup:
         doc = read_json(outdir, "limsup.json")
         assert doc["report"]["theorem"] == "gaussian-lil"
         assert "family" not in doc
+
+    def test_killed_walk_over_its_whole_lattice(self, tmp_path, capsys):
+        cfg = {
+            "command": "limsup",
+            "spec": {"family": "killed_walk", "step_rates": {"-1": 0.5, "1": 0.5},
+                     "beta": 1.0, "radius": 10},
+            "alpha": 0.5,
+            "hypotheses": {"f_class": "zero", "alpha": 0.5},
+            "checkpoints": [5, 21],
+            "trials": 5,
+            "seed": 3,
+        }
+        code, outdir = run_cli(tmp_path, cfg)
+        assert code == 0
+        doc = read_json(outdir, "limsup.json")
+        assert doc["prediction"]["theorem"] == "killed-walk"
+        assert 0.0 < doc["band"]["low"]["value"] < doc["band"]["high"]["value"]
+        assert len((outdir / "trend.csv").read_text().splitlines()) == 3
+        code, _ = run_cli(tmp_path, dict(cfg, checkpoints=[5, 20]), outname="out20")
+        assert code == 2
+        assert "killed_walk needs n = 21 sites" in capsys.readouterr().err
 
     def test_no_theorem_exits_two(self, tmp_path, capsys):
         cfg = self.limsup_config(trials=3)

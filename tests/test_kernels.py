@@ -3,6 +3,7 @@
 import multiprocessing
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -848,6 +849,24 @@ class TestGenerators:
         assert not check_inverse_m_matrix(not_m).ok
 
 
+@st.composite
+def walk_rates(draw):
+    """Rates on up to 5 offsets in [-90, 90], mirrored or not; offsets past
+    2R leave the lattice."""
+    offsets = draw(st.lists(st.integers(-90, 90).filter(bool), min_size=1,
+                            max_size=5, unique=True))
+    rate = st.floats(0.0, 2.0)
+    if draw(st.booleans()):
+        rates = {}
+        for d in offsets:
+            rates[d] = rates[-d] = draw(rate)
+    else:
+        rates = {d: draw(rate) for d in offsets}
+    if sum(rates.values()) <= 0:
+        rates[offsets[0]] = 1.0
+    return rates
+
+
 class TestKilledWalk:
     def test_u00_and_row_sums(self):
         spec = KilledWalk(step_rates={-1: 0.5, 1: 0.5}, beta=1.0, radius=120)
@@ -867,8 +886,50 @@ class TestKilledWalk:
 
     def test_no_window_route(self):
         spec = KilledWalk(step_rates={-1: 0.5, 1: 0.5}, beta=1.0, radius=20)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="killed_walk"):
             build_kernel(spec, Window(0, 5))
+
+    @staticmethod
+    def reference_precision(spec):
+        # beta I - G entry by entry: rate r_d at (i, i + d), killed beyond the lattice
+        size = 2 * spec.radius + 1
+        total = sum(spec.step_rates.values())
+        M = np.zeros((size, size))
+        for i in range(size):
+            for j in range(size):
+                M[i, j] = (spec.beta + total if i == j
+                           else 0.0 - spec.step_rates.get(j - i, 0.0))
+        return M
+
+    @settings(max_examples=60, deadline=None)
+    @given(radius=st.integers(1, 40), rates=walk_rates())
+    @example(radius=1, rates={-1: 0.5, 1: 0.5})
+    @example(radius=3, rates={-3: 0.1, -1: 0.3, 1: 0.7, 3: 0.1})
+    @example(radius=2, rates={-1: 0.5, 2: 0.25, 7: 0.4})
+    def test_band_is_written_from_the_rates(self, radius, rates):
+        spec = KilledWalk(step_rates=rates, beta=0.3, radius=radius)
+        M = self.reference_precision(spec)
+        band = kernels._walk_band(spec)
+        w = min(max(abs(d) for d in rates), 2 * radius)
+        assert band.shape == (2 * w + 1, 2 * radius + 1)
+        assert np.array_equal(kernels._band_matrix(band), M)
+        G = build_generator(spec, 2 * radius + 1).entries
+        assert np.array_equal(G, -M)
+        U = killed_walk_potential(spec).kernel.entries
+        assert np.array_equal(U, np.linalg.solve(M, np.eye(2 * radius + 1)))
+
+    def test_stream_holds_one_band(self):
+        # a dense (2R+1)^2 array at R = 1000 is 30.5 MiB
+        spec = KilledWalk(step_rates={-1: 0.5, 1: 0.5}, beta=1.0, radius=1000)
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            paths = np.hstack(list(spec.path_stream(2001, rng, 3, 256)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert paths.shape == (3, 2001)
+        assert peak < 1 << 20
 
 
 def masked_envelope(U):
