@@ -12,7 +12,7 @@ import numpy as np
 from scipy.signal import lfilter
 from scipy.special import comb
 
-from .identities import IdentityError
+from .identities import IdentityError, InputError
 
 ROOT_CLUSTER_RADIUS = 1e-7
 ROOT_RESIDUAL_TOL = 1e-10
@@ -28,11 +28,13 @@ RECONSTRUCTION_SEED = 20
 def _check_p(p):
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
-        raise ValueError("p must be a nonempty 1-d sequence")
+        raise InputError("p must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(p)):
+        raise InputError("p must be finite")
     if np.any(p <= 0):
-        raise ValueError("p must be positive")
+        raise InputError("p must be positive")
     if p.sum() > 1.0 + 1e-12:
-        raise ValueError("sum(p) must be <= 1")
+        raise InputError("sum(p) must be <= 1")
     return p
 
 
@@ -61,10 +63,6 @@ class RootSet:
     multiplicities: np.ndarray
     classification: str          # all-outside-unit-disk | unit-root-simple
     residuals: np.ndarray        # |P(q)| per distinct root
-
-    @property
-    def total_degree(self):
-        return int(self.multiplicities.sum())
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,7 @@ def phi_recursive(p, N):
     """
     p = _check_p(p)
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise InputError("N must be >= 1")
     impulse = np.zeros(N)
     impulse[0] = 1.0
     return _attach_drift(p, lfilter([1.0], _poly_coeffs(p), impulse))
@@ -265,7 +263,7 @@ def partial_fractions(p):
 
 def _truncation_index(r, d_max, eps=SERIES_EPS):
     # smallest n with r^n n^d_max < eps; r < 1
-    if r >= 1.0:
+    if r >= 1.0:        # char_roots puts every root outside the unit disk
         raise ValueError("series ratio must be < 1")
     n = 16
     while n < 10**7:

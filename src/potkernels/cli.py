@@ -4,7 +4,10 @@ One config runs one command; batch orchestration belongs to the shell.
 Every number in a report carries the citation key of the identity that
 produced it, or the marker "derived" for plain arithmetic on inputs. Exit
 codes: 0 success, 1 a named identity check failed (the message starts with
-its key), 2 usage or configuration error.
+its key), 2 usage or configuration error: an `InputError`, from the field
+checker that the config and `KernelSpec.from_config` share or from the
+library's own guards, or a config that cannot be read or decoded. Any other
+exception is a bug and propagates.
 """
 
 import argparse
@@ -22,11 +25,12 @@ from .excessive import (
     apply_potential,
     classify_excessive,
 )
-from .identities import IdentityError
+from .identities import IdentityError, InputError
 from .kernels import (
     KernelSpec,
     KilledWalk,
     Window,
+    _check_fields,
     build_kernel,
     check_inverse_m_matrix,
     check_q_matrix,
@@ -46,8 +50,7 @@ from .symmetrize import analyze, extend, sandwich_factor
 
 OUT_ENV = "POTKERNELS_OUT"
 
-# JSON kind of each config field, checked at parse time; "numbers" and
-# "ints" are flat lists
+# JSON kind of each config field (`kernels._KINDS`), checked at parse time
 _HYPOTHESES = {
     "f_class": "string",
     "alpha": "number",
@@ -65,28 +68,22 @@ _COMMON = {"command": "string", "seed": "int", "out": "string"}
 
 # per command: (required fields, optional fields)
 _SCHEMAS = {
-    "validate": ({"spec": "object", "window": "object"}, {"f": "object"}),
-    "invert": ({"spec": "object", "window": "object"}, {}),
+    "validate": ({"spec": "spec", "window": "object"}, {"f": "object"}),
+    "invert": ({"spec": "spec", "window": "object"}, {}),
     "phi": ({"p": "numbers", "n_terms": "int"}, {}),
     "cstar": ({"p": "numbers"}, {}),
-    "predict": ({"spec": "object", "hypotheses": "object"}, {}),
+    "predict": ({"spec": "spec", "hypotheses": "object"}, {}),
     "simulate": (
-        {"spec": "object", "n": "int", "k_half": "int"},
+        {"spec": "spec", "n": "int", "k_half": "int"},
         {"f": "object", "trials": "int", "l": "int"},
     ),
     "limsup": (
         {"checkpoints": "ints", "trials": "int"},
-        {
-            "spec": "object",
-            "alpha": "number",
-            "hypotheses": "object",
-            "f": "object",
-            "mode": "string",
-            "log_s": "numbers",
-        },
+        {"spec": "spec", "alpha": "number", "hypotheses": "object", "f": "object",
+         "mode": "string", "log_s": "numbers"},
     ),
     "symmetrize": (
-        {"spec": "object", "window": "object", "f": "object"},
+        {"spec": "spec", "window": "object", "f": "object"},
         {"alpha": "number"},
     ),
 }
@@ -94,46 +91,8 @@ _NEEDS_SEED = {"simulate", "limsup"}
 _LIMSUP_MODES = ("permanental", "gaussian-lil")
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _q(value, citation):
     return {"value": value, "citation": citation}
-
-
-def _has_kind(value, kind):
-    if kind in ("numbers", "ints"):
-        if not isinstance(value, list):
-            return False
-        try:
-            arr = np.asarray(value)
-        except ValueError:          # ragged nesting
-            return False
-        return arr.ndim == 1 and arr.dtype.kind in ("i" if kind == "ints" else "if")
-    if isinstance(value, bool):          # JSON true/false is not a number
-        return kind == "bool"
-    types = {"bool": bool, "int": int, "number": (int, float), "string": str,
-             "object": dict}
-    return isinstance(value, types[kind])
-
-
-def _check_fields(doc, kinds, required, where):
-    """Refuse a config object with unknown, missing or wrongly typed fields.
-
-    `kinds` maps every allowed field to its JSON kind (`_has_kind`).
-    """
-    unknown = sorted(set(doc) - set(kinds))
-    if unknown:
-        raise ConfigError(f"unknown fields in {where}: {unknown}")
-    missing = sorted(set(required) - set(doc))
-    if missing:
-        raise ConfigError(f"missing fields in {where}: {missing}")
-    for key, value in doc.items():
-        if not _has_kind(value, kinds[key]):
-            raise ConfigError(
-                f"{where} field {key!r} must be of kind {kinds[key]}, got {value!r:.40}"
-            )
 
 
 def _window(doc):
@@ -145,7 +104,7 @@ def _parse_f(doc, spec, window):
     """Potential values on the window, from literal values or a density."""
     _check_fields(doc, _F, (), "f")
     if ("values" in doc) == ("density" in doc):
-        raise ConfigError("f needs exactly one of 'values' or 'density'")
+        raise InputError("f needs exactly one of 'values' or 'density'")
     if "values" in doc:
         start = doc.get("start", window.l + 1)
         pf = PotentialFunction(values=np.asarray(doc["values"], float), start=start)
@@ -173,7 +132,7 @@ def _run_validate(cfg, seed, outdir, quiet):
         # the potential is checked on the whole lattice; no rho identity yet
         spec._require_sites(window.n, window.l)
         if "f" in cfg:
-            raise ConfigError("validate takes no f for a killed_walk spec")
+            raise InputError("validate takes no f for a killed_walk spec")
         result = killed_walk_potential(spec)
         checks.append(
             {
@@ -414,12 +373,12 @@ def _run_simulate(cfg, seed, outdir, quiet):
 def _run_limsup(cfg, seed, outdir, quiet):
     mode = cfg.get("mode", "permanental")
     if mode not in _LIMSUP_MODES:
-        raise ConfigError(f"mode must be one of {_LIMSUP_MODES}")
+        raise InputError(f"mode must be one of {_LIMSUP_MODES}")
     checkpoints = tuple(cfg["checkpoints"])
     trials = cfg["trials"]
     if mode == "gaussian-lil":
         if "log_s" not in cfg:
-            raise ConfigError("gaussian-lil limsup needs log_s")
+            raise InputError("gaussian-lil limsup needs log_s")
         config = ExperimentConfig(
             spec=None,
             alpha=None,
@@ -433,12 +392,12 @@ def _run_limsup(cfg, seed, outdir, quiet):
         doc = {"command": "limsup", "report": report.to_json()}
     else:
         if "spec" not in cfg or "hypotheses" not in cfg or "alpha" not in cfg:
-            raise ConfigError("permanental limsup needs spec, alpha, hypotheses")
+            raise InputError("permanental limsup needs spec, alpha, hypotheses")
         spec = KernelSpec.from_config(cfg["spec"])
         f_class, hyp_alpha, kwargs = _hypothesis_kwargs(cfg["hypotheses"])
         outcome = predict(spec, f_class, hyp_alpha, **kwargs)
         if isinstance(outcome, NoTheorem):
-            raise ConfigError(f"no matching limit theorem: {outcome.reason}")
+            raise InputError(f"no matching limit theorem: {outcome.reason}")
         alpha = float(cfg["alpha"])
         fw = None
         if "f" in cfg:
@@ -521,14 +480,18 @@ _RUNNERS = {
 }
 
 
+def _non_finite(token):
+    raise InputError(f"config numbers must be finite, got {token}")
+
+
 def _load_config(path):
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_constant=_non_finite)
     if not isinstance(doc, dict) or "command" not in doc:
-        raise ConfigError("config must be a JSON object with a 'command' field")
+        raise InputError("config must be a JSON object with a 'command' field")
     command = doc["command"]
     if not isinstance(command, str) or command not in _RUNNERS:
-        raise ConfigError(f"unknown command: {command!r}")
+        raise InputError(f"unknown command: {command!r}")
     required, optional = _SCHEMAS[command]
     _check_fields(doc, {**_COMMON, **required, **optional}, required, "config")
     return command, doc
@@ -552,14 +515,14 @@ def main(argv=None):
         command, cfg = _load_config(args.config)
         seed = args.seed if args.seed is not None else cfg.get("seed")
         if seed is None and command in _NEEDS_SEED:
-            raise ConfigError(f"{command} needs a seed (config field or --seed)")
+            raise InputError(f"{command} needs a seed (config field or --seed)")
         outdir = args.out or cfg.get("out") or os.environ.get(OUT_ENV) or os.getcwd()
         os.makedirs(outdir, exist_ok=True)
         _RUNNERS[command](cfg, seed, outdir, args.quiet)
     except IdentityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (InputError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     if not args.quiet:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .identities import IdentityError
+from .identities import IdentityError, InputError
 from .kernels import MinKernel, Window, build_kernel
 
 RATIO_SLACK = 1e-10        # relative slack before a ratio increase counts
@@ -33,14 +33,14 @@ class DensitySequence:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1:
-            raise ValueError("h must be 1-d")
+            raise InputError("h must be 1-d")
         if np.any(vals < 0) or not np.all(np.isfinite(vals)):
-            raise ValueError("h must be finite and nonnegative")
+            raise InputError("h must be finite and nonnegative")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "start", int(self.start))
         object.__setattr__(self, "tail", float(self.tail))
         if self.start < 1 or self.tail < 0:
-            raise ValueError("start must be >= 1 and tail >= 0")
+            raise InputError("start must be >= 1 and tail >= 0")
 
     @property
     def l1(self):
@@ -61,9 +61,9 @@ class PotentialFunction:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("f must be a nonempty 1-d sequence")
+            raise InputError("f must be a nonempty 1-d sequence")
         if np.any(vals < 0) or not np.all(np.isfinite(vals)):
-            raise ValueError("f must be finite and nonnegative")
+            raise InputError("f must be finite and nonnegative")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "start", int(self.start))
 
@@ -72,7 +72,7 @@ class PotentialFunction:
         lo = window.l + 1 - self.start
         hi = lo + window.n
         if lo < 0 or hi > self.values.size:
-            raise ValueError("window extends past stored f")
+            raise InputError("window extends past stored f")
         return self.values[lo:hi]
 
 
@@ -92,16 +92,16 @@ def apply_potential(spec, h, window):
     which handles any finite support exactly without a dense matrix.
     """
     if not h.summable:
-        raise ValueError("h declared non-summable; supply a finite tail")
+        raise InputError("h declared non-summable; supply a finite tail")
     if h.tail > 0:
-        raise ValueError("h has declared mass beyond the stored range; "
+        raise InputError("h has declared mass beyond the stored range; "
                          "apply_potential needs finite support")
     if isinstance(spec, MinKernel):
         s = spec.s
         hi_support = h.start + h.values.size - 1
         hi = max(window.l + window.n, hi_support)
         if hi > s.size:
-            raise ValueError("s too short for the union of window and support")
+            raise InputError("s too short for the union of window and support")
         dense_h = np.zeros(hi)
         dense_h[h.start - 1 : hi_support] = h.values
         weighted = np.cumsum(s[:hi] * dense_h)          # sum_{k<=n} s[k] h[k]
@@ -125,12 +125,12 @@ def _difference_ratios(s, f):
     s = np.asarray(s, dtype=float)
     f = np.asarray(f, dtype=float)
     if s.shape != f.shape:
-        raise ValueError("s and f must have equal length")
+        raise InputError("s and f must have equal length")
     gaps = np.empty_like(s)
     gaps[0] = s[0]
     gaps[1:] = np.diff(s)
     if np.any(gaps <= 0):
-        raise ValueError("s must be strictly increasing and positive")
+        raise InputError("s must be strictly increasing and positive")
     incs = np.empty_like(f)
     incs[0] = f[0]
     incs[1:] = np.diff(f)
@@ -141,7 +141,7 @@ def classify_excessive(s, f):
     """Classify f against the increasing sequence s (both from label 1)."""
     if isinstance(f, PotentialFunction):
         if f.start != 1:
-            raise ValueError("classification needs f from label 1")
+            raise InputError("classification needs f from label 1")
         f = f.values
     ratios = _difference_ratios(s, f)
     scale = max(1.0, float(np.abs(ratios).max()))
@@ -188,7 +188,7 @@ def recover_density(s, f):
     """
     if isinstance(f, PotentialFunction):
         if f.start != 1:
-            raise ValueError("density recovery needs f from label 1")
+            raise InputError("density recovery needs f from label 1")
         f = f.values
     cls = classify_excessive(s, f)
     if not cls.is_potential:
@@ -223,7 +223,7 @@ def rho(spec, f, window):
     """
     fw = f.on_window(window) if isinstance(f, PotentialFunction) else np.asarray(f, float)
     if fw.size != window.n:
-        raise ValueError("f must cover the window")
+        raise InputError("f must cover the window")
     return _window_rho(build_kernel(spec, window), fw)
 
 

@@ -4,6 +4,10 @@ Every number emitted by the CLI, and every structural error raised by the
 library, carries one of these keys (or the marker ``"derived"`` for values
 that are plain arithmetic on user inputs). The keys are stable: reports from
 different versions can be diffed by key.
+
+`IdentityError` names a failed check and `InputError` refuses input outside
+a routine's hypotheses, in the config field checker of `kernels` that the
+CLI shares and in each module's guards. Any other exception is a bug.
 """
 
 IDENTITIES = {
@@ -98,3 +102,7 @@ class IdentityError(ValueError):
         describe(key)  # unknown keys are programming errors
         self.key = key
         super().__init__(f"[{key}] {message}")
+
+
+class InputError(ValueError):
+    """Input outside a routine's stated hypotheses; the message names it."""

@@ -29,7 +29,7 @@ from scipy.optimize import brentq
 from scipy.special import betainc, gammainc
 
 from .excessive import PotentialFunction
-from .identities import IdentityError
+from .identities import IdentityError, InputError
 from .kernels import ExpKernel, Window, build_kernel
 from .normalizers import koval
 from .symmetrize import _as_values, analyze, extend, sandwich_factor
@@ -42,6 +42,8 @@ KS_MONOTONE_SLACK = 1e-12
 
 
 def _trial_rng(seed, trial):
+    if seed < 0:
+        raise InputError("seed must be >= 0")
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=(int(seed), int(trial))))
     )
@@ -73,9 +75,9 @@ def _gaussian_paths(spec, n_max, rng, rows, cols=None):
 
 def _k_half(alpha):
     # alpha = k_half/2 for an integer k_half >= 1, the squared-Gaussian replicas
-    k_half = int(round(2 * alpha))
+    k_half = int(round(2 * alpha)) if np.isfinite(2 * alpha) else 0
     if abs(2 * alpha - k_half) > 1e-12 or k_half < 1:
-        raise ValueError("alpha must be a positive half-integer")
+        raise InputError("alpha must be a positive half-integer")
     return k_half
 
 
@@ -120,7 +122,7 @@ def _f_values(f, l, n):
             f"not {type(f).__name__}"
         )
     if arr.size < l + n:
-        raise ValueError(f"f must cover labels 1..{l + n}")
+        raise InputError(f"f must cover labels 1..{l + n}")
     return _as_values(arr[l : l + n].astype(float), n)
 
 
@@ -144,10 +146,12 @@ def sample_permanental(spec, f, k_half, n, seed, trials=1, l=0):
     supported, matching the squared-Gaussian construction.
     """
     if not isinstance(k_half, (int, np.integer)) or k_half < 1:
-        raise ValueError(
+        raise InputError(
             "only half-integer alpha = k_half/2 with integer k_half >= 1 is "
             "supported"
         )
+    if trials < 1:
+        raise InputError("trials must be >= 1")
     alpha = k_half / 2.0
     window = Window(l, n)
     fw = _f_values(f, l, n)
@@ -190,10 +194,6 @@ class GammaMarginalReport:
     m_samples: int
     seed: int
     records: tuple
-
-    @property
-    def all_passed(self):
-        return all(r.passed for r in self.records)
 
 
 def _ks_terms(cdf, pos, m):
@@ -246,9 +246,9 @@ def gamma_marginal_test(spec, f, alpha, indices, m_samples, seed):
     k_half = _k_half(alpha)
     idx = np.unique(np.asarray(indices, dtype=int))
     if idx.size == 0 or idx[0] < 1:
-        raise ValueError("indices are 1-based")
+        raise InputError("indices are 1-based")
     if m_samples < 1:
-        raise ValueError("m_samples must be >= 1")
+        raise InputError("m_samples must be >= 1")
     n_max = int(idx[-1])
     fw = _f_values(f, 0, n_max)
     scale = kernel_diagonal(spec, n_max) + fw
@@ -330,16 +330,16 @@ def limsup_experiment(config, prediction=None):
     """
     cps = tuple(int(c) for c in config.checkpoints)
     if not cps or any(b <= a for a, b in zip(cps, cps[1:])) or cps[0] < 2:
-        raise ValueError("checkpoints must be increasing integers >= 2")
+        raise InputError("checkpoints must be increasing integers >= 2")
     n_max = cps[-1]
     if config.trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InputError("trials must be >= 1")
 
     lil = config.mode == "gaussian-lil"
     if lil:
         logs = np.asarray(config.log_s, dtype=float)
         if logs.size < n_max:
-            raise ValueError("log_s shorter than the largest checkpoint")
+            raise InputError("log_s shorter than the largest checkpoint")
         # eta_j/sqrt(s_j) is the exp kernel path on the grid log(s)/2
         stream_spec = ExpKernel(v=logs / 2.0)
         ratio_norm = np.full(n_max, np.inf)
@@ -349,14 +349,14 @@ def limsup_experiment(config, prediction=None):
         constant, theorem, k_half = 1.0, "gaussian-lil", 1
     else:
         if prediction is None:
-            raise ValueError("permanental mode needs a prediction")
+            raise InputError("permanental mode needs a prediction")
         k_half = _k_half(config.alpha)
         stream_spec = config.spec
         phi_at = np.asarray(
             prediction.normalizer(np.asarray(cps, dtype=int)), dtype=float
         )
         if not np.all(np.isfinite(phi_at) & (phi_at > 0)):
-            raise ValueError("normalizer must be positive at every checkpoint")
+            raise InputError("normalizer must be positive at every checkpoint")
         constant, theorem = prediction.constant, prediction.theorem
     fw = None
     if not lil and config.f is not None:
@@ -423,16 +423,16 @@ def analytic_median_band(diag, phi_at_n, alpha, trials, coverage=0.95):
     then solved by Brent's method (`brentq`) to a relative 4 eps.
     """
     if trials < 1 or trials % 2 != 1:
-        raise ValueError("trials must be a positive odd count")
+        raise InputError("trials must be a positive odd count")
     if not (np.isfinite(alpha) and alpha > 0):
-        raise ValueError("alpha must be finite and positive")
+        raise InputError("alpha must be finite and positive")
     if not 0.0 < coverage < 1.0:
-        raise ValueError("coverage must lie in (0, 1)")
+        raise InputError("coverage must lie in (0, 1)")
     diag = np.asarray(diag, dtype=float)
     if diag.size == 0:
-        raise ValueError("diagonal must be nonempty")
+        raise InputError("diagonal must be nonempty")
     if not (np.isfinite(phi_at_n) and phi_at_n > 0 and np.all(diag > 0)):
-        raise ValueError("need positive diagonal and normalizer")
+        raise InputError("need positive diagonal and normalizer")
     ratio, counts = np.unique(float(phi_at_n) / diag, return_counts=True)
     m = (trials + 1) // 2
 
@@ -490,15 +490,15 @@ def sparse_subsequence(M, epsilon, count, *, limit=None, row_norm=None, col_norm
     result, flagged rather than raised.
     """
     if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+        raise InputError("epsilon must be positive")
     if callable(M):
         if limit is None or row_norm is None or col_norm is None:
-            raise ValueError("callable accessors need limit, row_norm, col_norm")
+            raise InputError("callable accessors need limit, row_norm, col_norm")
         entry = M
     else:
         arr = np.asarray(M, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("M must be square")
+            raise InputError("M must be square")
         limit = arr.shape[0] if limit is None else min(limit, arr.shape[0])
         sums = np.abs(arr).sum(axis=1)
         row_norm = float(sums.max())

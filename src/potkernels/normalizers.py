@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .identities import IdentityError
+from .identities import IdentityError, InputError
 from .argen import c_star, phi_recursive
 
 GEOMETRIC_MARGIN = np.log(1.05)
@@ -28,18 +28,18 @@ F_CLASSES = ("zero", "potential-l1", "c0")
 
 def _log_sequence(s, log_s):
     if (s is None) == (log_s is None):
-        raise ValueError("pass exactly one of s and log_s")
+        raise InputError("pass exactly one of s and log_s")
     if log_s is not None:
         logs = np.asarray(log_s, dtype=float)
     else:
         s = np.asarray(s, dtype=float)
         if np.any(s <= 0):
-            raise ValueError("s must be positive")
+            raise InputError("s must be positive")
         logs = np.log(s)
     if logs.ndim != 1 or logs.size < 2:
-        raise ValueError("need at least two stored terms")
+        raise InputError("need at least two stored terms")
     if np.any(np.diff(logs) <= 0):
-        raise ValueError("s must be strictly increasing")
+        raise InputError("s must be strictly increasing")
     return logs
 
 
@@ -50,13 +50,13 @@ def koval(s=None, j=None, M=1.0, *, log_s=None):
     floats). j may be a scalar or an integer array; scalar in, scalar out.
     """
     if M <= 0:
-        raise ValueError("cap M must be positive")
+        raise InputError("cap M must be positive")
     logs = _log_sequence(s, log_s)
     jj = np.asarray(j)
     if jj.size == 0 or np.any(jj < 2):
-        raise ValueError("j must be >= 2")
+        raise InputError("j must be >= 2")
     if np.any(jj > logs.size):
-        raise ValueError("j beyond stored sequence length")
+        raise InputError("j beyond stored sequence length")
     capped = np.cumsum(np.minimum(M, np.diff(logs)))
     out = np.log(capped[jj - 2])
     return float(out) if np.isscalar(j) else out
@@ -90,7 +90,7 @@ def regime(s=None, probe_range=None, *, log_s=None):
         probe_range = (max(2, n // 2), n)
     lo, hi = int(probe_range[0]), int(probe_range[1])
     if not (2 <= lo < hi <= n):
-        raise ValueError("probe range must satisfy 2 <= lo < hi <= stored length")
+        raise InputError("probe range must satisfy 2 <= lo < hi <= stored length")
     probes = np.unique(np.linspace(lo, hi, 64).astype(int))
 
     ratios = np.diff(logs)[lo - 1 : hi - 1]
@@ -175,7 +175,7 @@ class NoTheorem:
 def _as_index(j):
     jj = np.asarray(j)
     if np.any(jj < 1):
-        raise ValueError("indices are 1-based")
+        raise InputError("indices are 1-based")
     return jj
 
 
@@ -193,7 +193,7 @@ def _growth_normalizer(logs, diag, diag_label):
     def normalizer(j):
         jj = _as_index(j)
         if np.any(jj > logs.size):
-            raise ValueError("j beyond stored sequence length")
+            raise InputError("j beyond stored sequence length")
         return _scalar_like(j, diag(jj) * np.log(capped[jj - 1]))
 
     return normalizer, f"{diag_label} * K_s(j)"
@@ -226,12 +226,12 @@ def _predict_min_like(logs, diag, diag_label, family, f_class, growth):
         def normalizer(j):
             jj = _as_index(j)
             if np.any(jj > logs.size):
-                raise ValueError("j beyond stored sequence length")
+                raise InputError("j beyond stored sequence length")
             return _scalar_like(j, diag(jj) * np.log(logs[jj - 1]))
         return _tagged(
             normalizer, f"{diag_label} * loglog(s[j])", 1.0, f"{family}-bounded-ratio"
         )
-    raise ValueError("growth must be None, 'geometric', or 'bounded-ratio'")
+    raise InputError("growth must be None, 'geometric', or 'bounded-ratio'")
 
 
 def _predict_ar1(spec, f_class, alpha, x_limit=None, reg_var_index=None,
@@ -243,7 +243,7 @@ def _predict_ar1(spec, f_class, alpha, x_limit=None, reg_var_index=None,
             "rate_limit, or rate_index"
         )
     if len(stated) > 1:
-        raise ValueError("declare exactly one limit hypothesis for x")
+        raise InputError("declare exactly one limit hypothesis for x")
 
     x = spec.x
     n_max = x.size
@@ -252,12 +252,12 @@ def _predict_ar1(spec, f_class, alpha, x_limit=None, reg_var_index=None,
 
     def u_diag(jj):
         if np.any(jj > n_max + 1):
-            raise ValueError("j beyond stored sequence length")
+            raise InputError("j beyond stored sequence length")
         return diag[jj - 1]
 
     if x_limit is not None:
         if not 0 < x_limit <= 1:
-            raise ValueError("x_limit must lie in (0, 1]")
+            raise InputError("x_limit must lie in (0, 1]")
         if x_limit == 1:
             if f_class not in ("zero", "potential-l1"):
                 return NoTheorem(
@@ -286,7 +286,7 @@ def _predict_ar1(spec, f_class, alpha, x_limit=None, reg_var_index=None,
     if reg_var_index is not None:
         beta = float(reg_var_index)
         if not 0 < beta < 1:
-            raise ValueError("reg_var_index must lie in (0, 1)")
+            raise InputError("reg_var_index must lie in (0, 1)")
 
         def normalizer(j):
             jj = _as_index(j)
@@ -299,7 +299,7 @@ def _predict_ar1(spec, f_class, alpha, x_limit=None, reg_var_index=None,
     if rate_limit is not None:
         c = float(rate_limit)
         if c < 0:
-            raise ValueError("rate_limit must be >= 0")
+            raise InputError("rate_limit must be >= 0")
 
         def normalizer(j):
             jj = _as_index(j)
@@ -311,7 +311,7 @@ def _predict_ar1(spec, f_class, alpha, x_limit=None, reg_var_index=None,
 
     beta = float(rate_index)
     if not 0 < beta < 1:
-        raise ValueError("rate_index must lie in (0, 1)")
+        raise InputError("rate_index must lie in (0, 1)")
 
     def normalizer(j):
         jj = _as_index(j)
@@ -325,7 +325,7 @@ def _predict_ar1(spec, f_class, alpha, x_limit=None, reg_var_index=None,
 def _predict_ark(p, f_class, alpha, f_sqrt_small):
     if abs(p.sum() - 1.0) > 1e-12:
         if f_class not in ("zero", "c0", "potential-l1"):
-            raise ValueError(f"unknown f_class {f_class!r}")
+            raise InputError(f"unknown f_class {f_class!r}")
         return _tagged(_log_j, "log(j)", c_star(p).value, "ark-transient")
 
     if f_class not in ("zero", "potential-l1"):
@@ -354,7 +354,7 @@ def _predict_exp(v, f_class, growth, gaps):
             2.0 * v, lambda jj: np.ones(np.shape(jj)), "1", "exp", f_class, growth
         )
     if growth is not None:
-        raise ValueError("exp kernels read growth only when no gaps are declared")
+        raise InputError("exp kernels read growth only when no gaps are declared")
     if gaps == "bounded":
         if f_class not in ("zero", "potential-l1"):
             return NoTheorem(
@@ -364,7 +364,7 @@ def _predict_exp(v, f_class, growth, gaps):
         def normalizer(j):
             jj = _as_index(j)
             if np.any(jj > v.size):
-                raise ValueError("j beyond stored sequence length")
+                raise InputError("j beyond stored sequence length")
             return _scalar_like(j, np.log(v[jj - 1]))
 
         return _tagged(normalizer, "log(v[j])", 1.0, "exp-bounded-gaps")
@@ -374,7 +374,7 @@ def _predict_exp(v, f_class, growth, gaps):
                 "separated gaps need f = 0 or f vanishing at infinity"
             )
         return _tagged(_log_j, "log(j)", 1.0, "exp-separated-gaps")
-    raise ValueError("gaps must be None, 'bounded', or 'separated'")
+    raise InputError("gaps must be None, 'bounded', or 'separated'")
 
 
 def _predict_killed_walk(u00):
@@ -400,13 +400,13 @@ def predict(
     configuration. Limit hypotheses (growth / gaps / x_limit / reg_var_index
     / rate_limit / rate_index / f_sqrt_small) are taken as stated, never
     checked against the stored finite prefix. A hypothesis that the family
-    does not read (`spec.hypotheses`) is refused with ValueError, as is an
+    does not read (`spec.hypotheses`) is refused with InputError, as is an
     inadmissible spec with its IdentityError.
     """
     if f_class not in F_CLASSES:
-        raise ValueError(f"f_class must be one of {F_CLASSES}")
+        raise InputError(f"f_class must be one of {F_CLASSES}")
     if not alpha > 0:
-        raise ValueError("alpha must be positive")
+        raise InputError("alpha must be positive")
     stated = dict(
         growth=growth, gaps=gaps, x_limit=x_limit, reg_var_index=reg_var_index,
         rate_limit=rate_limit, rate_index=rate_index,
@@ -416,7 +416,7 @@ def predict(
     spec.admissibility().require()
     unread = [name for name in declared if name not in spec.hypotheses]
     if unread:
-        raise ValueError(
+        raise InputError(
             f"{spec.family} kernels do not read the hypotheses {unread}"
         )
     return spec.prediction(f_class, alpha, **declared)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .identities import IdentityError
+from .identities import IdentityError, InputError
 from .kernels import DenseKernelWindow, _checked_inverse
 
 EXTEND_DET_TOL = 1e-10
@@ -31,18 +31,18 @@ def _as_matrix(U_window):
         U_window = U_window.entries
     U = np.asarray(U_window, dtype=float)
     if not np.all(np.isfinite(U)):
-        raise ValueError("U_window must be finite")
+        raise InputError("U_window must be finite")
     return U
 
 
 def _as_values(f_window, n):
     values = np.asarray(getattr(f_window, "values", f_window), dtype=float)
     if values.shape != (n,):
-        raise ValueError(f"f_window must have length {n}")
+        raise InputError(f"f_window must have length {n}")
     if np.any(values < 0):
-        raise ValueError("f_window must be nonnegative")
+        raise InputError("f_window must be nonnegative")
     if not np.all(np.isfinite(values)):
-        raise ValueError("f_window must be finite")
+        raise InputError("f_window must be finite")
     return values
 
 
@@ -141,10 +141,10 @@ def analyze(K_ext, U_window, f_window):
     f = _as_values(f_window, n)
     K_ext = np.asarray(K_ext, dtype=float)
     if K_ext.shape != (n + 1, n + 1):
-        raise ValueError("K_ext does not match the window size")
+        raise InputError("K_ext does not match the window size")
     scale_u = np.abs(U).max()
     if np.abs(U - U.T).max() > 1e-10 * max(1.0, scale_u):
-        raise ValueError("U_window must be symmetric")
+        raise InputError("U_window must be symmetric")
     Uinv = _checked_inverse(U_window)[0]
 
     c = Uinv.T @ f
@@ -253,9 +253,9 @@ def sandwich_factor(alpha, rho):
     its linearization, valid as an upper bound for small rho.
     """
     if not alpha > 0:
-        raise ValueError("alpha must be positive")
+        raise InputError("alpha must be positive")
     if rho < 0:
-        raise ValueError("rho must be nonnegative")
+        raise InputError("rho must be nonnegative")
     lower = (1.0 / (1.0 + rho)) ** alpha
     slack = 1.0 - lower
     linear = 2.0 * alpha * rho

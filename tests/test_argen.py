@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from potkernels import (
+    InputError,
     c_star,
     char_roots,
     partial_fractions,
@@ -138,3 +139,12 @@ class TestValidation:
     def test_rejects_supercritical_mass(self):
         with pytest.raises(ValueError):
             phi_recursive((0.8, 0.4), 5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "route", [lambda p: phi_recursive(p, 3), c_star], ids=["phi_recursive", "c_star"]
+    )
+    def test_rejects_non_finite_weights(self, route, bad):
+        # NaN passes the sign and mass checks, which compare False
+        with pytest.raises(InputError, match="p must be finite"):
+            route([bad])

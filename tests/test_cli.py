@@ -1,7 +1,10 @@
 """End-to-end checks for the JSON-config command line front end."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,10 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import potkernels
 from potkernels import kernels
 from potkernels.cli import _RUNNERS, main
+
+from test_kernels import ROUND_TRIP_SPECS
 
 
 def run_cli(tmp_path, cfg, *extra, name="config.json", outname="out"):
@@ -483,6 +490,29 @@ class TestLimsup:
         assert code == 2
         assert "killed_walk needs n = 21 sites" in capsys.readouterr().err
 
+    def test_killed_walk_solves_its_potential_once(self, tmp_path, monkeypatch):
+        # predict reads u00 and the band the diagonal of one potential
+        solves, solve = [], np.linalg.solve
+
+        def counted_solve(*args, **kwargs):
+            solves.append(np.shape(args[0]))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        cfg = {
+            "command": "limsup",
+            "spec": {"family": "killed_walk", "step_rates": {"-1": 0.5, "1": 0.5},
+                     "beta": 1.0, "radius": 10},
+            "alpha": 0.5,
+            "hypotheses": {"f_class": "zero", "alpha": 0.5},
+            "checkpoints": [5, 21],
+            "trials": 5,
+            "seed": 3,
+        }
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 0
+        assert solves == [(21, 21)]
+
     def test_no_theorem_exits_two(self, tmp_path, capsys):
         cfg = self.limsup_config(trials=3)
         cfg["hypotheses"]["f_class"] = "potential-l1"
@@ -673,7 +703,9 @@ class TestErrorPaths:
         assert code == 2
         assert "killed_walk" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("error", [TypeError, KeyError])
+    @pytest.mark.parametrize(
+        "error", [TypeError, KeyError, ValueError, np.linalg.LinAlgError]
+    )
     def test_internal_error_propagates(self, tmp_path, monkeypatch, error):
         # a bug inside a runner is not a usage error: it must surface
         def broken(*args):
@@ -682,6 +714,94 @@ class TestErrorPaths:
         monkeypatch.setitem(_RUNNERS, "cstar", broken)
         with pytest.raises(error):
             run_cli(tmp_path, cstar_config())
+
+    def test_config_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert main(["--config", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"command": "cstar", "p": [np.nan]},
+            {"command": "phi", "p": [np.nan, 0.25], "n_terms": 5},
+            {"command": "predict", "hypotheses": {"f_class": "zero", "alpha": 0.5},
+             "spec": {"family": "killed_walk", "step_rates": {"-1": 0.5, "1": 0.5},
+                      "beta": np.inf, "radius": 5}},
+            {"command": "limsup", "spec": exp_spec(20), "alpha": np.nan,
+             "hypotheses": {"f_class": "zero", "alpha": 0.5, "gaps": "separated"},
+             "checkpoints": [10, 20], "trials": 3, "seed": 7},
+        ],
+        ids=["cstar-p", "phi-p", "predict-beta", "limsup-alpha"],
+    )
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, cfg):
+        # json writes and reads NaN and Infinity tokens; the config refuses them
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert "numbers must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [("a_sq", '{"family": "ark_gen", "p": [0.5, 0.25], "a_sq": 1e999}'),
+         ("b", '{"family": "rank_one_update", "base": {"family": "min", "s": [1, 2, 3]},'
+               ' "k": 1, "l": 3, "b": -1e999}')],
+    )
+    def test_overflowing_number_exits_two(self, tmp_path, capsys, field, text):
+        # json reads 1e999 as inf, which the parent inverted to NaN and exit 0
+        path = tmp_path / "config.json"
+        path.write_text('{"command": "invert", "window": {"l": 0, "n": 3}, "spec": %s}' % text)
+        assert main(["--config", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+        assert f"field {field!r} must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"trials": -1}, "trials must be >= 1"), ({"trials": 0}, "trials must be >= 1"),
+         ({"seed": -1}, "seed must be >= 0")],
+        ids=["trials-negative", "trials-zero", "seed-negative"],
+    )
+    def test_sampler_counts_are_refused_by_name(self, tmp_path, capsys, change, message):
+        # numpy refuses a negative size or seed with a bare ValueError of its own
+        cfg = {"command": "simulate", "spec": min_spec(5), "n": 5, "k_half": 1,
+               "trials": 2, "seed": 3, **change}
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_alpha_that_overflows_exits_two(self, tmp_path, capsys):
+        cfg = {"command": "limsup", "spec": exp_spec(20), "alpha": 1e308,
+               "hypotheses": {"f_class": "zero", "alpha": 0.5, "gaps": "separated"},
+               "checkpoints": [10, 20], "trials": 3, "seed": 7}
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert "alpha must be a positive half-integer" in capsys.readouterr().err
+
+    def test_singular_chain_head_exits_one(self, tmp_path, capsys):
+        # a_sq = 1e308 scales the first innovation to 1e-154: the head is singular
+        cfg = {"command": "invert", "window": {"l": 0, "n": 3},
+               "spec": {"family": "ark_gen", "p": [0.5, 0.25], "a_sq": 1e308}}
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 1
+        assert "[window-inverse-identity] singular window head" in capsys.readouterr().err
+
+    WRONG_KINDS = [None, True, "a", [], ["a"], [[1.0], 2.0], {}, 1.5]
+    SPEC_FIELDS = [(spec, name) for spec in ROUND_TRIP_SPECS for name in spec.to_config()]
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.sampled_from(SPEC_FIELDS), value=st.sampled_from(WRONG_KINDS))
+    @example(case=(ROUND_TRIP_SPECS[0], "s"), value=["a", "b"])
+    @example(case=(ROUND_TRIP_SPECS[0], "s"), value=[[1.0], 2.0])
+    def test_spec_field_of_the_wrong_kind_exits_two(self, tmp_path_factory, case, value):
+        spec, name = case
+        doc = spec.to_config()
+        assume(not (isinstance(value, float) and isinstance(doc[name], float)))
+        doc[name] = value
+        cfg = {"command": "invert", "spec": doc, "window": {"l": 0, "n": 3}}
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, _ = run_cli(tmp_path_factory.mktemp("wrong-kind"), cfg)
+        assert code == 2
+        assert re.search(rf"\b({re.escape(name)}|{spec.family})\b", err.getvalue())
 
     def test_identity_failure_exits_one(self, tmp_path, capsys):
         cfg = {

@@ -19,6 +19,7 @@ from potkernels import (
     ARkGen,
     ExpKernel,
     IdentityError,
+    InputError,
     KernelSpec,
     KilledWalk,
     MinKernel,
@@ -520,6 +521,12 @@ class TestShiftAdmissibility:
         with pytest.raises(IdentityError):
             bad.admissibility().require()
 
+    @pytest.mark.parametrize("delta", [0.0, np.nan, np.inf, 1e200])
+    def test_ar1_shift_needs_a_finite_nonzero_square(self, delta):
+        # 1e200 ** 2 overflows a Python float instead of reading as inf
+        with pytest.raises(InputError, match="delta_tilde"):
+            AR1Shifted(x=np.full(6, 1.0), delta_tilde=delta)
+
     def test_arkgen_threshold(self):
         # p = (1/2, 1/4) admits a^2 above 5/16 only
         assert ARkGen(p=(0.5, 0.25), a_sq=0.4).admissibility().admissible
@@ -814,6 +821,15 @@ class TestOnePoleChains:
                 check()
             assert err.value.key == "window-inverse-identity"
 
+    def test_non_finite_window_refuses(self):
+        # NaN compares False with every bound, so it must fail them, not pass
+        nan_spec = ARkGen(p=(0.5, 0.25), a_sq=np.inf)
+        for check in (lambda: window_inverse(nan_spec, Window(0, 3)),
+                      lambda: check_inverse_m_matrix(np.full((3, 3), np.nan))):
+            with pytest.raises(IdentityError) as err:
+                check()
+            assert err.value.key == "window-inverse-identity"
+
 
 class TestGenerators:
     def test_min_generator_is_tridiagonal_dual(self):
@@ -888,6 +904,29 @@ class TestKilledWalk:
         spec = KilledWalk(step_rates={-1: 0.5, 1: 0.5}, beta=1.0, radius=20)
         with pytest.raises(ValueError, match="killed_walk"):
             build_kernel(spec, Window(0, 5))
+
+    def test_generator_takes_only_its_whole_lattice(self):
+        spec = KilledWalk(step_rates={-1: 0.5, 1: 0.5}, beta=1.0, radius=10)
+        assert build_generator(spec, 21).entries.shape == (21, 21)
+        with pytest.raises(InputError, match="killed_walk needs n = 21 sites"):
+            build_generator(spec, 3)
+
+    @pytest.mark.parametrize(
+        "rates, beta",
+        [({-1: 0.5, 1: 0.5}, np.inf), ({-1: 0.5, 1: 0.5}, np.nan),
+         ({-1: np.nan, 1: 0.5}, 1.0), ({-1: np.inf, 1: 0.5}, 1.0)],
+        ids=["beta-inf", "beta-nan", "rate-nan", "rate-inf"],
+    )
+    def test_refuses_non_finite_beta_and_rates(self, rates, beta):
+        with pytest.raises(InputError, match="beta|step_rates"):
+            KilledWalk(step_rates=rates, beta=beta, radius=3)
+
+    def test_potential_is_solved_once_and_read_only(self):
+        spec = KilledWalk(step_rates={-1: 0.5, 1: 0.5}, beta=1.0, radius=5)
+        res = killed_walk_potential(spec)
+        assert killed_walk_potential(spec) is res
+        for a in (res.kernel.entries, res.kernel.labels, res.row_sums, res.interior):
+            assert not a.flags.writeable
 
     @staticmethod
     def reference_precision(spec):

@@ -18,6 +18,7 @@ from potkernels import (
     ExperimentConfig,
     ExpKernel,
     IdentityError,
+    InputError,
     KilledWalk,
     MinKernel,
     PotentialFunction,
@@ -324,7 +325,7 @@ class TestPotentialPart:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError) as err:
                     call()
-            assert type(err.value) is ValueError
+            assert type(err.value) is InputError
             assert str(err.value) == message
 
     @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from potkernels import (
     AR1,
     DensitySequence,
     IdentityError,
+    InputError,
     MinKernel,
     Window,
     analyze,
@@ -170,7 +171,7 @@ class TestRejections:
         for call in calls:
             with pytest.raises(ValueError) as err:
                 call()
-            assert type(err.value) is ValueError
+            assert type(err.value) is InputError
             assert str(err.value) == "U_window must be finite"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -186,7 +187,7 @@ class TestRejections:
         for call in calls:
             with pytest.raises(ValueError) as err:
                 call()
-            assert type(err.value) is ValueError
+            assert type(err.value) is InputError
             assert str(err.value) == "f_window must be finite"
 
     def test_singular_window(self):
