@@ -38,6 +38,7 @@ once, from the rates, as a band that its stream factors and its generator
 and potential expand; it has no windows, and takes only its whole lattice.
 """
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -448,7 +449,7 @@ class _FirstInnovationScaled(_Derived):
 # "rates" holds numbers at integer keys, which JSON writes as strings; "spec"
 # is a kernel config object with its family tag
 _KINDS = {
-    "bool": (bool, "a boolean"), "int": (Integral, "an integer"),
+    "bool": (bool, "a boolean"), "int": (Integral, "an integer in the int64 range"),
     "number": (Real, "a finite number"), "string": (str, "a string"),
     "object": (dict, "an object"), "spec": (dict, "a kernel config object"),
     "rates": (dict, "an object of numbers keyed by integers"),
@@ -477,8 +478,8 @@ def _has_kind(value, kind):
     if kind == "rates":
         return all(str(k).removeprefix("-").isdecimal() and _has_kind(v, "number")
                    for k, v in value.items())
-    if kind == "number":
-        return isinstance(value, Integral) or bool(np.isfinite(value))
+    if kind in ("number", "int"):   # NaN, inf and integers past float or int64 fail
+        return abs(value) <= (sys.float_info.max if kind == "number" else 2**63 - 1)
     return kind != "spec" or isinstance(value.get("family"), str)
 
 

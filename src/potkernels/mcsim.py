@@ -25,8 +25,7 @@ between knots where the supremum can sit (`_ks_gamma`).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import betainc, gammainc
+from scipy.special import betainc, betaincinv, gammainc, gammaincc, gammaln
 
 from .excessive import PotentialFunction
 from .identities import IdentityError, InputError
@@ -39,6 +38,8 @@ KS_CRITICAL_5PCT = 1.3581
 KS_KNOT_STRIDE = 32
 # CDF round-off allowed against monotonicity when intervals are pruned
 KS_MONOTONE_SLACK = 1e-12
+BAND_COARSE_STRIDE = 64         # distinct ratios per group of the band's coarse model
+BAND_CERTIFICATE_RTOL = 1e-12   # relative width of a band edge's sign-change check
 
 
 def _trial_rng(seed, trial):
@@ -64,11 +65,14 @@ def _gaussian_paths(spec, n_max, rng, rows, cols=None):
     """rows Gaussian paths of n_max steps, kept at the increasing 0-based
     columns `cols` (all by default) as each chunk of the stream arrives."""
     cols = np.arange(n_max) if cols is None else np.asarray(cols)
+    # a contiguous run is sliced: fancy indexing would copy the block
+    run = cols.size and cols[-1] - cols[0] == cols.size - 1
     kept = np.empty((rows, cols.size))
     j0 = 0
     for block in _path_stream(spec, n_max, rng, rows):
         lo, hi = np.searchsorted(cols, (j0, j0 + block.shape[1]))
-        kept[:, lo:hi] = block[:, cols[lo:hi] - j0]
+        take = slice(cols[0] + lo - j0, cols[0] + hi - j0) if run else cols[lo:hi] - j0
+        kept[:, lo:hi] = block[:, take]
         j0 += block.shape[1]
     return kept
 
@@ -408,6 +412,29 @@ def limsup_experiment(config, prediction=None):
     )
 
 
+def _log_gamma_cdf(alpha, x):
+    """log P(alpha, x) at increasing x: the log of `gammainc` below x = alpha
+    and, where P > 1/2, log1p of minus `gammaincc`, which keeps its digits."""
+    k = np.searchsorted(x, alpha)
+    return np.concatenate((np.log(gammainc(alpha, x[:k])), np.log1p(-gammaincc(alpha, x[k:]))))
+
+
+def _band_root(f, level, s, lo=np.log(1e-9), hi=np.log(1e9)):
+    """The s in [lo, hi] where f, increasing and concave, with its value and
+    slope, reaches level: Newton from s to a step of 1e-9, bisecting the
+    bracket in place of a step that leaves it or is not finite."""
+    for _ in range(200):
+        value, slope = f(s)
+        lo, hi = (s, hi) if value < level else (lo, s)
+        new = s - (value - level) / slope
+        if not lo <= new <= hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - s) <= 1e-9:
+            return new
+        s = new
+    raise IdentityError("trend-band", "band edge solve did not converge")
+
+
 def analytic_median_band(diag, phi_at_n, alpha, trials, coverage=0.95):
     """Calibration band for the median of max_{j<=N} X[j] / phi(N).
 
@@ -416,11 +443,15 @@ def analytic_median_band(diag, phi_at_n, alpha, trials, coverage=0.95):
     of the marginal CDFs, and the median of an odd number of trials has an
     exact Beta order-statistic law. Returns the central `coverage` interval.
 
-    Coordinates with equal U[j,j] share a marginal CDF, so the log of the
-    product is a sum over the distinct values of phi_at_n / U[j,j], each
-    weighted by its count: one `gammainc` term per distinct value. Each edge
-    is bracketed by doubling or halving from t = 1 within [1e-9, 1e9] and
-    then solved by Brent's method (`brentq`) to a relative 4 eps.
+    The log of that product, logH(t), is a sum over the distinct ratios
+    phi_at_n / U[j,j], each weighted by its count (`_log_gamma_cdf`). It is
+    concave in s = log t, since log X has a log-concave density for
+    X ~ Gamma(alpha), so each edge solves logH = log(betaincinv(m, m, target))
+    by Newton in s (`_band_root`). The solve starts from the root of a coarse
+    model, in which the middle ratio of each run of BAND_COARSE_STRIDE carries
+    the run's counts. The Beta form betainc(m, m, H) - target must change
+    sign within a relative BAND_CERTIFICATE_RTOL of each edge, and each edge
+    must lie in [1e-9, 1e9]; otherwise the band is refused (`trend-band`).
     """
     if trials < 1 or trials % 2 != 1:
         raise InputError("trials must be a positive odd count")
@@ -435,30 +466,30 @@ def analytic_median_band(diag, phi_at_n, alpha, trials, coverage=0.95):
         raise InputError("need positive diagonal and normalizer")
     ratio, counts = np.unique(float(phi_at_n) / diag, return_counts=True)
     m = (trials + 1) // 2
+    log_scale = alpha * np.log(ratio) - gammaln(alpha)
+    starts = np.arange(0, ratio.size, BAND_COARSE_STRIDE)
+    coarse = (np.minimum(starts + BAND_COARSE_STRIDE // 2, ratio.size - 1),
+              np.add.reduceat(counts, starts))
 
-    def excess(t, target):
-        logH = counts @ np.log(gammainc(alpha, t * ratio))
-        return float(betainc(m, m, np.exp(logH))) - target
+    def log_h(s, keep=slice(None), weights=counts):
+        # logH(e^s) over ratio[keep]; d/ds log P(alpha, x) = x^alpha e^-x / (Gamma P)
+        x = np.exp(s) * ratio[keep]
+        log_p = _log_gamma_cdf(alpha, x)
+        return weights @ log_p, weights @ np.exp(log_scale[keep] + alpha * s - x - log_p)
 
-    def invert(target):
-        below = excess(1.0, target) < 0
-        step = 2.0 if below else 0.5
-        t = 1.0
-        while True:
-            u = t * step
-            if not 1e-9 <= u <= 1e9:
-                raise IdentityError("trend-band", "band bracket failed")
-            if (excess(u, target) < 0) != below:
-                break
-            t = u
-        lo, hi = min(t, u), max(t, u)
-        # the default xtol is an absolute 2e-12; a negligible one leaves
-        # the stop to rtol
-        return brentq(excess, lo, hi, args=(target,), xtol=1e-300,
-                      rtol=4 * np.finfo(float).eps)
+    def edge(target, s):
+        level = np.log(betaincinv(m, m, target))
+        s = _band_root(log_h, level, _band_root(lambda u: log_h(u, *coarse), level, s))
+        below, above = (betainc(m, m, np.exp(log_h(s + d)[0]))
+                        for d in (-BAND_CERTIFICATE_RTOL, BAND_CERTIFICATE_RTOL))
+        if not below <= target <= above:
+            raise IdentityError("trend-band", f"no certified edge in [1e-9, 1e9]: {np.exp(s)!r}")
+        return float(np.exp(s))
 
     tail = (1.0 - coverage) / 2.0
-    return invert(tail), invert(1.0 - tail)
+    with np.errstate(all="ignore"):   # log(0) and inf / inf steps fall back to bisection
+        lo = edge(tail, 0.0)
+        return lo, edge(1.0 - tail, np.log(lo))
 
 
 def calibration_band(spec, prediction, alpha, n_max, trials, coverage=0.95):

@@ -105,7 +105,7 @@ DIGESTS = {
         "invert.json": "c079ed4fe3168095f3959fc29c147508e1e8f5f5138d6bb6e2c0109d3eeaea02",
     },
     "limsup-exp-1e5": {
-        "limsup.json": "f3bcf3b3692c358baa99d111c130ea1acab97420496849fda4c3840d9cb62005",
+        "limsup.json": "9fa596e0f7b51afc403c02ac2f5eec5a37b35d4fa4a74fc6f2578d3360d88f4a",
         "trend.csv": "f4cfcb068e5b98e77088384e99e971e3f613c74e86e4e8b0cf82ccb28c33d6f9",
     },
     "phi-complex-2e3": {

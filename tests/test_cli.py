@@ -768,6 +768,53 @@ class TestErrorPaths:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    WALK = {"family": "killed_walk", "step_rates": {"-1": 0.5, "1": 0.5},
+            "beta": 0.5, "radius": 5}
+
+    @pytest.mark.parametrize(
+        "field, spec",
+        [("beta", {**WALK, "beta": 10**400}),
+         ("step_rates", {**WALK, "step_rates": {"-1": 0.5, "1": 10**400}})],
+        ids=["beta", "step-rate"],
+    )
+    def test_integer_past_the_float_range_exits_two(self, tmp_path, capsys, field, spec):
+        # float() of a 401-digit integer raises OverflowError
+        cfg = {"command": "predict", "spec": spec,
+               "hypotheses": {"f_class": "zero", "alpha": 0.5}}
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert f"field {field!r} must be" in capsys.readouterr().err
+
+    HUGE = 10**30
+    SIM = {"command": "simulate", "spec": min_spec(5), "n": 5, "k_half": 1,
+           "trials": 2, "seed": 3}
+
+    @pytest.mark.parametrize(
+        "field, cfg",
+        [
+            ("n_terms", {"command": "phi", "p": [0.5, 0.25], "n_terms": HUGE}),
+            ("n", {"command": "invert", "spec": min_spec(5), "window": {"l": 0, "n": HUGE}}),
+            ("radius", {"command": "predict", "spec": {**WALK, "radius": HUGE},
+                        "hypotheses": {"f_class": "zero", "alpha": 0.5}}),
+            ("n", {**SIM, "n": HUGE}),
+            ("k_half", {**SIM, "k_half": HUGE}),
+            ("trials", {**SIM, "trials": HUGE}),
+            ("trials", {"command": "limsup", "spec": exp_spec(20), "alpha": 0.5,
+                        "hypotheses": {"f_class": "zero", "alpha": 0.5, "gaps": "separated"},
+                        "checkpoints": [10, 20], "trials": HUGE, "seed": 7}),
+            ("k", {"command": "invert", "window": {"l": 0, "n": 3},
+                   "spec": {"family": "rank_one_update", "base": min_spec(5),
+                            "k": HUGE, "l": 3, "b": 0.1}}),
+        ],
+        ids=["phi-n_terms", "invert-window-n", "killed-walk-radius", "simulate-n",
+             "simulate-k_half", "simulate-trials", "limsup-trials", "rank-one-k"],
+    )
+    def test_integer_past_int64_exits_two(self, tmp_path, capsys, field, cfg):
+        # numpy refuses such a size with a bare ValueError of its own
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert f"field {field!r} must be an integer in the int64 range" in capsys.readouterr().err
+
     def test_alpha_that_overflows_exits_two(self, tmp_path, capsys):
         cfg = {"command": "limsup", "spec": exp_spec(20), "alpha": 1e308,
                "hypotheses": {"f_class": "zero", "alpha": 0.5, "gaps": "separated"},

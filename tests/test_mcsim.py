@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import betainc, gammainc
+from scipy.special import betainc, betaincinv, gammainc, gammainccinv
 
 from potkernels import (
     AR1,
@@ -507,6 +507,48 @@ class TestCalibrationBand:
         got = analytic_median_band(diag, phi_at_n, 0.5, 21)
         ref = bisection_band(diag, phi_at_n, 0.5, 21)
         np.testing.assert_allclose(got, ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("phi_at_n", [0.5, 3.0, np.log(1e5), 20.0])
+    @pytest.mark.parametrize("trials", [5, 21])
+    def test_one_value_diagonal_matches_closed_form(self, alpha, phi_at_n, trials):
+        # with N equal values H(t) = P(alpha, t phi)^N, which inverts in
+        # closed form through Q = 1 - P = -expm1(log(B) / N)
+        n, diag_value = 100_000, 2.0
+        got = analytic_median_band(np.full(n, diag_value), phi_at_n, alpha, trials)
+        m = (trials + 1) // 2
+        ref = [
+            gammainccinv(alpha, -np.expm1(np.log(betaincinv(m, m, target)) / n))
+            * diag_value / phi_at_n
+            for target in (0.025, 0.975)
+        ]
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+
+    def test_all_distinct_diagonal_takes_few_full_passes(self, monkeypatch):
+        # unit-drift ARk: every diagonal value is distinct
+        n = 10_000
+        spec = ARk(p=(1.0 / 3.0, 5.0 / 9.0, 1.0 / 9.0))
+        diag = kernel_diagonal(spec, n)
+        phi_at_n = float(predict(spec, "zero", 0.5).normalizer(n))
+        sizes = []
+        log_cdf = mcsim._log_gamma_cdf
+
+        def counted(alpha, x):
+            sizes.append(x.size)
+            return log_cdf(alpha, x)
+
+        monkeypatch.setattr(mcsim, "_log_gamma_cdf", counted)
+        got = analytic_median_band(diag, phi_at_n, 0.5, 21)
+        assert np.unique(diag).size == n
+        assert sizes.count(n) <= 10
+        np.testing.assert_allclose(got, bisection_band(diag, phi_at_n, 0.5, 21), rtol=1e-12)
+
+    @pytest.mark.parametrize("phi_at_n", [1e-12, 1e12], ids=["above-1e9", "below-1e-9"])
+    def test_edge_outside_the_range_refuses(self, phi_at_n):
+        # t phi_at_n must reach about 1 at the edges: t near 1e12 or 1e-12
+        with pytest.raises(IdentityError) as err:
+            analytic_median_band(np.ones(10), phi_at_n, 0.5, 5)
+        assert err.value.key == "trend-band"
 
     def test_spec_front_end(self):
         spec = ExpKernel(v=np.arange(1.0, 501.0))
