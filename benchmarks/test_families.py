@@ -4,9 +4,11 @@ Times `kernel_diagonal` and a 3-row `sample_gaussian` for every family with
 a path stream. The shifted families run through their base family, so a
 shifted row that drifts away from its base row shows the cost of the
 delegation. Two rows have time-varying coefficients: exp on an uneven grid
-and AR1 with x_j = 1 - c / sqrt(j). Their recurrences take the blocked scan
-of `kernels._one_pole` where `exp` and `ar1` take `lfilter`, so each pair of
-rows gives the varying against the constant cost per sample.
+and AR1 with x_j = 1 - c / sqrt(j). Every chain family's recurrence is one
+unit band solve per chunk (`argen.linear_recurrence`), with per-index or
+constant coefficients alike, so each pair of rows gives the varying against
+the constant cost per sample; the ARk diagonal sums the squares of `phi`,
+the impulse response that the same solve gives.
 `test_killed_walk_stream` times a `sample_gaussian` of 10^4 paths over the
 401 sites of a killed walk with radius 200: one band Cholesky factorization
 of its precision and one triangular band solve per row tile.

@@ -9,7 +9,7 @@ real projections are asserted, not assumed.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg import lapack
 from scipy.special import comb
 
 from .identities import IdentityError, InputError
@@ -87,17 +87,48 @@ class CStarResult:
     upper: float
 
 
+def linear_recurrence(c, u, history):
+    """y[..., j] = sum_i c[i-1, j] y[..., j-i] + u[..., j], in place on u.
+
+    c is (k, n), or (k, 1) for coefficients constant in j, whose band is
+    one column repeated; history holds y[..., -k:], the k values before
+    j = 0, oldest first, and broadcasts against u's leading axes. The
+    history is added into the first k inputs, and then one unit
+    lower-triangular band solve L y = u runs, with L[j, j-i] = -c[i-1, j]:
+    LAPACK's `dtbtrs` on L^T in upper band storage with trans="T", so each
+    y[j] is u[j] less a dot product of the band with the k values before
+    it (Rue & Held, Gaussian Markov Random Fields, 2005, ch. 2). At k = 1
+    that is u[j] + c[j] y[j-1], the plain recurrence bit for bit. The band
+    is held in Fortran order and u solved as u.T, so a C-contiguous u is
+    solved in place, with no copy.
+    """
+    k, n = len(c), u.shape[-1]
+    c = np.broadcast_to(c, (k, n))
+    if c.strides[1] == 0:      # constant in j: one band column, repeated
+        band = np.repeat(np.append(-c[::-1, 0], 1.0)[None], n, axis=0).T
+    else:                      # row by row: a (k + 1)-wide copy loops per column
+        band = np.empty((k + 1, n), order="F")
+        band[k] = 1.0
+        for i in range(1, k + 1):
+            np.negative(c[i - 1], out=band[k - i])
+    history = np.broadcast_to(history, u.shape[:-1] + (k,))
+    for i in range(1, k + 1):
+        m = min(i, n)          # y[j-i] is history for j < i
+        u[..., :m] += c[i - 1, :m] * history[..., k - i : k - i + m]
+    return lapack.dtbtrs(band, u.T, trans="T", diag="U", overwrite_b=1)[0].T
+
+
 def phi_recursive(p, N):
     """phi[1]=1, phi[n] = sum p[l] phi[n-l] with phi[m]=0 for m <= 0.
 
-    phi is the impulse response of 1/P(z), run through lfilter.
+    phi is the impulse response of 1/P(z), one `linear_recurrence` solve.
     """
     p = _check_p(p)
     if N < 1:
         raise InputError("N must be >= 1")
     impulse = np.zeros(N)
     impulse[0] = 1.0
-    return _attach_drift(p, lfilter([1.0], _poly_coeffs(p), impulse))
+    return _attach_drift(p, linear_recurrence(p[:, None], impulse, 0.0))
 
 
 def _attach_drift(p, ph):

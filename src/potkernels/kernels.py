@@ -11,8 +11,10 @@ functions call after checking `admissibility()`:
 - `generator(size)`: truncated generator and its band (`build_generator`);
 - `diagonal(n)`: U[j,j] for j = 1..n (`mcsim.kernel_diagonal`);
 - `path_stream(n_max, rng, rows, chunk)`: chunked Gaussian paths with the
-  kernel as covariance; the killed walk's solve with the band Cholesky
-  factor of its precision, and the base's refusal for rank-one updates;
+  kernel as covariance: the chain's recurrence as one unit band solve per
+  chunk (`argen.linear_recurrence`), the killed walk's solve with the band
+  Cholesky factor of its precision, and the base's refusal for rank-one
+  updates;
 - `admissibility()`: the family's `AdmissibilityDecision`;
 - `hypotheses` and `prediction(f_class, alpha, **declared)`: the limit
   hypotheses that `normalizers.predict` reads, and the theorem they select.
@@ -46,9 +48,8 @@ from numbers import Integral, Real
 
 import numpy as np
 from scipy.linalg import cholesky_banded, lapack
-from scipy.signal import lfilter
 
-from .argen import phi_recursive
+from .argen import linear_recurrence, phi_recursive
 from .identities import IdentityError, InputError
 from .normalizers import (
     NoTheorem,
@@ -73,12 +74,9 @@ Q_SIGN_TOL = 1e-12
 Q_BOUNDED_THRESHOLD = 0.0
 M_SIGN_TOL = 1e-9
 
-# a spread of at most this many ulp of the magnitude of a stored sequence is
-# rounding, so such a sequence of coefficients or gaps counts as constant
+# a spread of at most this many ulp of the magnitude of a grid is rounding,
+# so gaps with such a spread count as even
 CONSTANT_ULPS = 4
-
-# block length of the varying-coefficient scan in `_one_pole`
-SCAN_BLOCK = 512
 
 # rows of innovations drawn at a time by a path stream wider than this
 ROW_TILE = 4096
@@ -96,71 +94,11 @@ def _as_float_array(values, name):
     return arr
 
 
-def _steady(a, scale=None):
-    """`a` as one float when its spread is rounding at `scale`, else as is.
-
-    The default scale is the largest magnitude in `a`; an empty sequence
-    reduces to 0.0.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim and a.size:
-        scale = np.abs(a).max() if scale is None else scale
-        if np.ptp(a) > CONSTANT_ULPS * np.spacing(scale):
-            return a
-    return float(a.flat[0]) if a.size else 0.0
-
-
-def _by_position(x, b, k):
-    """x[..., m*b + i] at [i, ..., m] for k blocks of b; zero past the end."""
-    n, lead = x.shape[-1], x.shape[:-1]
-    whole = n - n % b
-    out = np.zeros((b,) + lead + (k,))
-    blocks = np.moveaxis(out, 0, -1)
-    blocks[..., : whole // b, :] = x[..., :whole].reshape(lead + (whole // b, b))
-    blocks[..., -1, : n - whole] = x[..., whole:]
-    return out
-
-
-def _one_pole(a, u, y0):
-    """y[..., j] = a[j] y[..., j-1] + u[..., j] along the last axis from y0.
-
-    y0 stands at j = -1 and carries the state from the previous chunk; it
-    is one number or one per row of u.
-    Constant coefficients (a scalar, or a sequence that `_steady` reduces
-    to one) run through lfilter. Varying ones run a blocked scan
-    (Blelloch, CMU-CS-90-190, 1990) over blocks of SCAN_BLOCK steps:
-    one pass over the positions advances every block at once, block 0
-    from y0 and the others from 0. The carries into the blocks solve the
-    same recurrence, with the products of `a` over each block as
-    coefficients and the block ends as inputs, and come back into each
-    block times the running product of `a`. Only products of the
-    coefficients are formed and nothing is divided, so a in [0, 1] cannot
-    overflow. A sequence of at most one block runs the plain recurrence.
-    Rows never mix, so the path streams filter a wide chunk in row tiles
-    of ROW_TILE rows, one call per tile on a helper thread that each wide
-    stream owns (`_filtered_chunks`), with the values of one call on the
-    whole chunk.
-    """
-    a = _steady(a)
-    if np.ndim(a) == 0:
-        y0 = np.broadcast_to(np.asarray(y0, dtype=float), u.shape[:-1])
-        zi = np.expand_dims(a * y0, -1)
-        return lfilter([1.0], [1.0, -a], u, axis=-1, zi=zi)[0]
-    n, lead = u.shape[-1], u.shape[:-1]
-    b = min(SCAN_BLOCK, n)
-    k = -(-n // b)
-    v = _by_position(u, b, k)      # each step is one row per block
-    c = _by_position(a, b, k)
-    prev = np.zeros(lead + (k,))
-    prev[..., 0] = y0
-    for i in range(b):
-        prev = v[i] = c[i] * prev + v[i]
-    if k > 1:
-        p = np.cumprod(c, axis=0)
-        carry = _one_pole(p[-1, :-1], v[-1][..., :-1], 0.0)
-        for i in range(b):
-            v[i][..., 1:] += p[i, 1:] * carry
-    return np.moveaxis(v, 0, -1).reshape(lead + (k * b,))[..., :n]
+def _steady(a, scale):
+    """`a` as one float when its spread is rounding at `scale`, else as is."""
+    if np.ptp(a) > CONSTANT_ULPS * np.spacing(scale):
+        return a
+    return float(a[0])
 
 
 def _chunks(n_max, chunk):
@@ -186,12 +124,15 @@ def _filtered_chunks(rng, rows, n_max, chunk, filt):
     the chunk starting at column j0, and carries their state into the next
     chunk. A chunk of at most ROW_TILE rows is one draw and one call. A
     wider chunk is drawn in tiles of ROW_TILE rows, each a block of
-    consecutive rows, so the draws are the values of one (rows, m) draw.
-    While this thread draws tile k + 1, a helper thread that the stream
-    owns filters tile k into the chunk; at most one tile is in flight,
-    every tile is done before the chunk is yielded, and only this thread
-    touches rng. Leaving the stream, by a raise or by closing it, waits
-    for a pending tile and ends the helper.
+    consecutive rows, so the draws are the values of one (rows, m) draw;
+    a band solve never mixes rows, so the filtered tiles are the values of
+    one call on the whole chunk too. While this thread draws tile k + 1, a
+    helper thread that the stream owns filters tile k into the chunk. The
+    band solve holds the GIL and the draw does not, so the two overlap
+    only in part. At most one tile is in flight, every tile is done before
+    the chunk is yielded, and only this thread touches rng. Leaving the
+    stream, by a raise or by closing it, waits for a pending tile and ends
+    the helper.
     """
     if rows <= ROW_TILE:
         for j0, m in _chunks(n_max, chunk):
@@ -211,18 +152,21 @@ def _filtered_chunks(rng, rows, n_max, chunk, filt):
             yield out
 
 
-def _stream_one_pole(a, scale, y0, rng, rows, n_max, chunk, first_scale=1.0):
-    # y[j] = a[j] y[j-1] + scale[j] g[j] from y[-1] = y0, with a and scale
-    # scalars or per-index arrays; the first innovation is scaled
-    y0 = np.array(y0, dtype=float)
+def _stream_recurrence(c, scale, history, rng, rows, n_max, chunk, first_scale=1.0):
+    # y[j] = sum_i c[i-1, j] y[j-i] + scale[j] g[j] from the (rows, k) values
+    # of history, with c (k, n_max) or (k, 1) and scale a scalar or per-index
+    # array; the first innovation is scaled, and each chunk's last k values
+    # carry into the next
+    k = len(c)
+    c = np.broadcast_to(c, (k, n_max))
 
     def filt(g, j0, r):
         m = g.shape[1]
         if j0 == 0:
             g[:, 0] *= first_scale
         g *= _part(scale, j0, m)           # in place: rows x m can be large
-        block = _one_pole(_part(a, j0, m), g, y0[r])
-        y0[r] = block[:, -1]
+        block = linear_recurrence(c[:, j0 : j0 + m], g, history[r])
+        history[r] = np.concatenate((history[r], block[:, -k:]), axis=1)[:, -k:]
         return block
 
     return _filtered_chunks(rng, rows, n_max, chunk, filt)
@@ -579,7 +523,9 @@ def _stored(values, n, name):
 def _stream_min(s, b, rng, rows, n_max, chunk):
     # independent increments of variance s[j] - s[j-1], divided by b if given
     inc = np.sqrt(np.diff(np.concatenate(([0.0], _stored(s, n_max, "s")))))
-    stream = _stream_one_pole(1.0, inc, np.zeros(rows), rng, rows, n_max, chunk)
+    stream = _stream_recurrence(
+        np.ones((1, 1)), inc, np.zeros((rows, 1)), rng, rows, n_max, chunk
+    )
     for j0, block in zip(range(0, n_max, chunk), stream):
         yield block if b is None else block / b[j0 : j0 + block.shape[1]]
 
@@ -710,8 +656,9 @@ class ExpKernel(_Chain):
         else:
             # uneven grid: the path starts at the stationary draw
             a = np.exp(-np.concatenate(([0.0], gap)))
-        yield from _stream_one_pole(
-            a, np.sqrt(1.0 - a * a), state, rng, rows, n_max, chunk
+        yield from _stream_recurrence(
+            np.reshape(a, (1, -1)), np.sqrt(1.0 - a * a), state[:, None],
+            rng, rows, n_max, chunk,
         )
 
     def prediction(self, f_class, alpha, growth=None, gaps=None):
@@ -744,7 +691,7 @@ class AR1(_Chain):
             raise InputError("x too short for requested diagonal")
         d = np.ones(n)
         if n > 1:          # a window's head asks for one value, with no filter
-            d[1:] = _one_pole(self.x[: n - 1] ** 2, d[1:], 1.0)
+            d[1:] = linear_recurrence(self.x[None, : n - 1] ** 2, d[1:], 1.0)
         return d
 
     def window_entries(self, window):
@@ -767,11 +714,9 @@ class AR1(_Chain):
 
     def path_stream(self, n_max, rng, rows, chunk, first_scale=1.0):
         # xi[1] = first_scale g[1], xi[n] = x[n-1] xi[n-1] + g[n]
-        a = _steady(_stored(self.x, n_max - 1, "x"))
-        if np.ndim(a):
-            a = np.concatenate((a[:1], a))     # a[0] meets y[-1] = 0
-        yield from _stream_one_pole(
-            a, 1.0, np.zeros(rows), rng, rows, n_max, chunk, first_scale
+        a = np.concatenate(([0.0], _stored(self.x, n_max - 1, "x")))
+        yield from _stream_recurrence(
+            a[None], 1.0, np.zeros((rows, 1)), rng, rows, n_max, chunk, first_scale
         )
 
     def prediction(self, f_class, alpha, **declared):
@@ -870,16 +815,10 @@ class ARk(_Chain):
 
     def path_stream(self, n_max, rng, rows, chunk, first_scale=1.0):
         # y[n] = sum p[l] y[n-l] + g[n] with empty history; y[1] scaled
-        a = np.concatenate(([1.0], -self.p))
-        zi = np.zeros((rows, a.size - 1))
-
-        def filt(g, j0, r):
-            if j0 == 0:
-                g[:, 0] *= first_scale
-            block, zi[r] = lfilter([1.0], a, g, axis=1, zi=zi[r])
-            return block
-
-        yield from _filtered_chunks(rng, rows, n_max, chunk, filt)
+        yield from _stream_recurrence(
+            self.p[:, None], 1.0, np.zeros((rows, self.k)), rng, rows, n_max, chunk,
+            first_scale,
+        )
 
     def prediction(self, f_class, alpha, f_sqrt_small=False):
         return _predict_ark(self.p, f_class, alpha, f_sqrt_small)

@@ -65,6 +65,8 @@ def _gaussian_paths(spec, n_max, rng, rows, cols=None):
     """rows Gaussian paths of n_max steps, kept at the increasing 0-based
     columns `cols` (all by default) as each chunk of the stream arrives."""
     cols = np.arange(n_max) if cols is None else np.asarray(cols)
+    if rows * cols.size * 8 > np.iinfo(np.intp).max:     # numpy's largest array
+        raise InputError(f"{rows} rows x {cols.size} columns of paths exceed one array")
     # a contiguous run is sliced: fancy indexing would copy the block
     run = cols.size and cols[-1] - cols[0] == cols.size - 1
     kept = np.empty((rows, cols.size))

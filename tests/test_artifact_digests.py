@@ -113,11 +113,11 @@ DIGESTS = {
         "phi.json": "08f432a23136b03c838da459ae9b27b285bc9dea82d34abe886075508abe3684",
     },
     "phi-drift-2e4": {
-        "phi.csv": "fbdf7f073342bae334426a85d7fd946b180b2a59f28fda6554a946a4a5ec5896",
-        "phi.json": "e7001a6fef352d05b0c8be5c837de59409de543a61b6fed015a24163f3d2d422",
+        "phi.csv": "f3add7c7020952502da55d68f9e70c969c04ac12c910850b20c9eeb62645b27c",
+        "phi.json": "b8be09cdafd265804339846e6eb1d5debbf9ec487c37cbe6e25aaf6f7fde617a",
     },
     "phi-simple-1e5": {
-        "phi.csv": "3876de399fe478476894d9952d80e4c6fa6b1a137a075fb41d7822465c501f6d",
+        "phi.csv": "996721561717033f70143631f02b54e23de44eba6b8cc782820448c4e54e0d9b",
         "phi.json": "9d80ebd1b21f6b063969b61a1c45243f0115cbe907dd11051afa0e34bb3d22ae",
     },
     "predict-ar1": {

@@ -815,6 +815,14 @@ class TestErrorPaths:
         assert code == 2
         assert f"field {field!r} must be an integer in the int64 range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k_half", [1, 2])
+    def test_paths_past_the_largest_array_exit_two(self, tmp_path, capsys, k_half):
+        # inside int64, but rows x columns of doubles is past numpy's largest array
+        code, _ = run_cli(tmp_path, {**self.SIM, "k_half": k_half, "trials": 10**18})
+        assert code == 2
+        rows = k_half * 10**18
+        assert f"{rows} rows x 5 columns of paths exceed one array" in capsys.readouterr().err
+
     def test_alpha_that_overflows_exits_two(self, tmp_path, capsys):
         cfg = {"command": "limsup", "spec": exp_spec(20), "alpha": 1e308,
                "hypotheses": {"f_class": "zero", "alpha": 0.5, "gaps": "separated"},
@@ -888,6 +896,26 @@ class TestOutDirResolution:
         assert not (tmp_path / "ignored").exists()
 
 
+def src_env():
+    """The environment with the package under test first on PYTHONPATH, so a
+    child imports it and not whatever potkernels happens to be installed."""
+    src = str(Path(potkernels.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+# scipy.signal imports stats, optimize, interpolate, spatial and ndimage,
+# which took most of the command line's start-up; none of them is needed
+UNUSED_SCIPY = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.interpolate")
+
+START_UP_CHILD = f"""
+import json, sys
+from potkernels import cli
+codes = [cli.main(["--config", p, "--out", p + ".out", "--quiet"]) for p in sys.argv[1:]]
+print(json.dumps([codes, [m for m in {UNUSED_SCIPY!r} if m in sys.modules]]))
+"""
+
+
 class TestConsoleScript:
     """Run the command in a fresh interpreter, the way a user starts it."""
 
@@ -907,12 +935,24 @@ class TestConsoleScript:
         assert (outdir / "cstar.json").exists()
 
     def test_entry_point_runs(self, tmp_path):
-        # The child must import the package under test, not whatever
-        # potkernels happens to be installed.
-        src = str(Path(potkernels.__file__).resolve().parent.parent)
-        paths = [src, os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        self.run_command([sys.executable, "-m", "potkernels"], tmp_path, env=env)
+        self.run_command([sys.executable, "-m", "potkernels"], tmp_path, env=src_env())
+
+    def test_commands_leave_unused_scipy_unimported(self, tmp_path):
+        # an order-2 limsup with its band, and phi: the recurrences and
+        # the band's special functions all come from scipy.linalg and special
+        paths = []
+        for name, cfg in [
+            ("limsup", TestLimsup().limsup_config(trials=5, family="ark_gen")),
+            ("phi", {"command": "phi", "p": [0.5, 0.25], "n_terms": 50}),
+        ]:
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(cfg))
+        proc = subprocess.run(
+            [sys.executable, "-c", START_UP_CHILD, *map(str, paths)],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0, 0], []]
 
     def test_module_entry_matches_declared_script(self):
         tomllib = pytest.importorskip("tomllib")

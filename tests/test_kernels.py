@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.signal import lfilter
+from scipy.signal import lfilter, lfiltic
 
 from potkernels import (
     AR1,
@@ -44,6 +44,7 @@ from potkernels import (
     window_inverse,
 )
 from potkernels import kernels
+from potkernels.argen import linear_recurrence
 
 from conftest import random_density, random_increasing_s
 
@@ -211,11 +212,6 @@ def one_pole_loop(a, u, y0):
     return y
 
 
-# past one block the scan may differ from the loop by this much relative to
-# max(1, max|y|); at n = 10^6 with a_j = 1 - 0.5 / sqrt(j) the ratio is 5e-15
-SCAN_TOL = 1e-13
-
-
 @st.composite
 def one_pole_inputs(draw, lengths):
     n = draw(lengths)
@@ -231,75 +227,88 @@ def one_pole_inputs(draw, lengths):
     return a, u, y0
 
 
-def assert_scan_matches_loop(a, u, y0):
-    got = kernels._one_pole(a, u, y0)
-    ref = one_pole_loop(a, u, y0)
-    if u.shape[-1] <= kernels.SCAN_BLOCK:
-        assert np.array_equal(got, ref)
-    else:
-        bound = SCAN_TOL * max(1.0, np.abs(ref).max())
+def one_pole(a, u, y0):
+    """`linear_recurrence` at k = 1 on a copy of u, from y0 at j = -1."""
+    return linear_recurrence(np.reshape(a, (1, -1)), u.copy(), np.expand_dims(y0, -1))
+
+
+# order-k families: simple real roots, a unit root with a repeated pair,
+# and a complex pair (the tests of `argen` use the same three)
+ORDER_K = {
+    "transient": np.array([0.5, 0.25]),
+    "unit-drift": np.array([1 / 3, 5 / 9, 1 / 9]),
+    "complex": np.array([0.25, 0.125, 0.5]),
+}
+
+
+class TestLinearRecurrence:
+    @settings(max_examples=200, deadline=None)
+    @given(case=one_pole_inputs(st.one_of(
+        st.integers(1, 8), st.integers(9, 3000), st.sampled_from([511, 512, 513, 1025])
+    )))
+    def test_one_pole_matches_per_step_reference(self, case):
+        assert np.array_equal(one_pole(*case), one_pole_loop(*case))
+
+    def test_constant_coefficient_takes_one_start_for_all_rows(self):
+        u = np.random.default_rng(3).standard_normal((3, 5))
+        got = linear_recurrence(np.array([[0.5]]), u.copy(), 0.7)
+        assert np.array_equal(got, one_pole_loop(np.full(5, 0.5), u, 0.7))
+
+    @pytest.mark.parametrize(
+        "varying, rows", [(False, None), (True, None), (True, 3)],
+        ids=["constant", "varying", "varying-rows"],
+    )
+    def test_one_pole_at_one_million(self, varying, rows):
+        n = 1_000_000
+        j = np.arange(1.0, n + 1.0)
+        a = 1.0 - 0.5 / np.sqrt(j) if varying else np.full(n, 0.5)
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal(n if rows is None else (rows, n))
+        y0 = 0.3 if rows is None else rng.standard_normal(rows)
+        got = one_pole(a if varying else 0.5, u, y0)
+        assert np.array_equal(got, one_pole_loop(a, u, y0))
+
+    def test_solves_in_place(self):
+        u = np.random.default_rng(6).standard_normal((4, 9))
+        y = linear_recurrence(np.full((2, 1), 0.25), u, 0.0)
+        assert np.shares_memory(y, u) and np.array_equal(y, u)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5000])
+    @pytest.mark.parametrize("rows", [1, 21])
+    @pytest.mark.parametrize("family", sorted(ORDER_K))
+    def test_order_k_matches_lfilter(self, family, rows, n):
+        # lfilter runs the transposed direct form, which rounds in another
+        # order. Each step of either route sums u[j] and k products p[i]
+        # y[j-i], with |u[j]| <= 2 M for M = max|y| over history and values
+        # since sum(p) <= 1, so it rounds by at most 3 (k + 1) eps M; a
+        # step's error reaches later values through phi, which lies in
+        # [0, 1], so over n steps the routes differ by at most
+        # 6 (k + 1) n eps M. Below n = k, history alone feeds later values
+        p = ORDER_K[family]
+        rng = np.random.default_rng(rows * n)
+        u, history = rng.standard_normal((rows, n)), rng.standard_normal((rows, p.size))
+        a = np.concatenate(([1.0], -p))
+        zi = np.array([lfiltic([1.0], a, h[::-1]) for h in history])
+        ref = lfilter([1.0], a, u, axis=-1, zi=zi)[0]
+        got = linear_recurrence(p[:, None], u.copy(), history)
+        per_index = np.repeat(p[:, None], n, axis=1)      # the band built row by row
+        assert np.array_equal(linear_recurrence(per_index, u.copy(), history), got)
+        M = max(np.abs(ref).max(), np.abs(history).max())
+        bound = 6 * (p.size + 1) * n * np.finfo(float).eps * M
         np.testing.assert_allclose(got, ref, rtol=0, atol=bound)
 
 
-BLOCK_EDGE_LENGTHS = st.one_of(
-    st.sampled_from([1, 511, 512, 513, 1024, 1025]),
-    st.builds(
-        lambda k, r: k * kernels.SCAN_BLOCK + r,
-        st.integers(0, 4),
-        st.integers(1, kernels.SCAN_BLOCK - 1),
-    ),
-)
-
-
-class TestOnePoleScan:
-    @settings(max_examples=100, deadline=None)
-    @given(case=one_pole_inputs(BLOCK_EDGE_LENGTHS))
-    def test_matches_per_step_reference(self, case):
-        assert_scan_matches_loop(*case)
-
-    @settings(max_examples=100, deadline=None)
-    @given(block=st.integers(2, 4), case=one_pole_inputs(st.integers(1, 300)))
-    def test_carries_recurse_through_small_blocks(self, block, case):
-        # blocks of 2 to 4 put the carry solve several levels deep
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "SCAN_BLOCK", block)
-            assert_scan_matches_loop(*case)
-
-    def test_constant_coefficient_takes_one_start_for_all_rows(self):
-        a = np.full(5, 0.5)
-        u = np.random.default_rng(3).standard_normal((3, 5))
-        np.testing.assert_allclose(
-            kernels._one_pole(a, u, 0.7), one_pole_loop(a, u, 0.7), rtol=1e-12
-        )
-
-    def test_critical_ar1_coefficients_at_one_million(self):
-        n = 1_000_000
-        a = 1.0 - 0.5 / np.sqrt(np.arange(1.0, n + 1.0))
-        u = np.random.default_rng(5).standard_normal(n)
-        assert_scan_matches_loop(a, u, 0.0)
-
-
-def stream_one_pole_untiled(a, scale, y0, rng, rows, n_max, chunk, first_scale=1.0):
-    """Reference route: one (rows, m) draw and one `_one_pole` per chunk."""
+def stream_untiled(c, scale, history, rng, rows, n_max, chunk, first_scale=1.0):
+    """Reference route: one (rows, m) draw and one `linear_recurrence` per chunk."""
+    k = len(c)
+    c = np.broadcast_to(c, (k, n_max))
     for j0, m in kernels._chunks(n_max, chunk):
         g = rng.standard_normal((rows, m))
         if j0 == 0:
             g[:, 0] *= first_scale
         g *= kernels._part(scale, j0, m)
-        block = kernels._one_pole(kernels._part(a, j0, m), g, y0)
-        y0 = block[:, -1].copy()
-        yield block
-
-
-def ark_stream_untiled(self, n_max, rng, rows, chunk, first_scale=1.0):
-    """Reference route for `ARk.path_stream`: one draw and one lfilter per chunk."""
-    a = np.concatenate(([1.0], -self.p))
-    zi = np.zeros((rows, a.size - 1))
-    for j0, m in kernels._chunks(n_max, chunk):
-        g = rng.standard_normal((rows, m))
-        if j0 == 0:
-            g[:, 0] *= first_scale
-        block, zi = lfilter([1.0], a, g, axis=1, zi=zi)
+        block = linear_recurrence(c[:, j0 : j0 + m], g, history)
+        history = np.concatenate((history, block), axis=1)[:, -k:]
         yield block
 
 
@@ -341,8 +350,7 @@ STREAMED = {
 
 def untiled_stream(spec, rows, seed, monkeypatch):
     with monkeypatch.context() as mp:
-        mp.setattr(kernels, "_stream_one_pole", stream_one_pole_untiled)
-        mp.setattr(ARk, "path_stream", ark_stream_untiled)
+        mp.setattr(kernels, "_stream_recurrence", stream_untiled)
         return list(spec.path_stream(STREAM_N, CallerThreadRng(seed), rows, STREAM_CHUNK))
 
 
@@ -374,17 +382,17 @@ class TestTiledStreams:
     def test_filter_error_surfaces_from_the_stream(self, failing_tile, monkeypatch):
         # 5 rows in tiles of 2: the first chunk filters tiles 0, 1 and 2
         ran_on = []
-        one_pole = kernels._one_pole
+        recurrence = kernels.linear_recurrence
 
-        def failing(a, u, y0):
+        def failing(c, u, history):
             ran_on.append(threading.current_thread())
             if len(ran_on) == failing_tile + 1:
                 raise RuntimeError("filter failed")
-            return one_pole(a, u, y0)
+            return recurrence(c, u, history)
 
         monkeypatch.setattr(kernels, "ROW_TILE", 2)
         with monkeypatch.context() as mp:
-            mp.setattr(kernels, "_one_pole", failing)
+            mp.setattr(kernels, "linear_recurrence", failing)
             stream = STREAMED["ar1"].path_stream(STREAM_N, CallerThreadRng(1), 5, 7)
             with pytest.raises(RuntimeError, match="filter failed"):
                 next(stream)

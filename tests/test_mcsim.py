@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import betainc, betaincinv, gammainc, gammainccinv
+from scipy.special import betainc, betaincinv, gammainc, gammaincc, gammainccinv
 
 from potkernels import (
     AR1,
@@ -38,7 +38,7 @@ from potkernels import (
     sample_permanental,
     sparse_subsequence,
 )
-from potkernels import kernels, mcsim
+from potkernels import mcsim
 
 
 def covariance_zscores(spec, n, seed, trials):
@@ -77,18 +77,20 @@ class TestGaussianSampler:
         z = covariance_zscores(spec, 8, seed=3, trials=40_000)
         assert z.max() < 5.0
 
-    @pytest.mark.parametrize("block", [2, 3])
+    @pytest.mark.parametrize("chunk", [2, 3])
     @pytest.mark.parametrize(
         "spec",
         [
             ExpKernel(v=np.cumsum([0.1, 0.5, 1.2, 0.3, 0.9, 0.2, 1.5, 0.4])),
             AR1(x=np.sort(np.random.default_rng(1).uniform(0.3, 0.9, 7))),
+            ARk(p=(1 / 3, 5 / 9, 1 / 9)),
         ],
-        ids=["exp-varying", "ar1-varying"],
+        ids=["exp-varying", "ar1-varying", "ark-3"],
     )
-    def test_exact_covariance_across_scan_blocks(self, spec, block, monkeypatch):
-        # blocks of 2 or 3 steps: the 8 indices cross every kind of block edge
-        monkeypatch.setattr(kernels, "SCAN_BLOCK", block)
+    def test_exact_covariance_across_chunks(self, spec, chunk, monkeypatch):
+        # chunks of 2 or 3 steps: the 8 indices cross every kind of chunk
+        # edge, and ARk's three values of history outlast a chunk of 2
+        monkeypatch.setattr(mcsim, "_chunk_size", lambda rows: chunk)
         z = covariance_zscores(spec, 8, seed=3, trials=40_000)
         assert z.max() < 5.0
 
@@ -409,15 +411,22 @@ def bisection_band(diag, phi_at_n, alpha, trials, coverage=0.95):
     """Reference band: 80-step bisection on the ungrouped diagonal.
 
     The same Beta order-statistic law as `analytic_median_band`, evaluated
-    with one `gammainc` term per diagonal entry and inverted by bisection
-    from [1e-9, hi], hi doubled from 1 until it brackets the edge.
+    as a sum of one log P term per diagonal entry, and inverted by
+    bisection from [1e-9, hi], hi doubled from 1 until it brackets the edge.
+    Each term is log(gammainc) below x = alpha and log1p(-gammaincc) from
+    there up, so it keeps its digits where P is near 1. The terms are taken
+    once per distinct ratio, which gives every entry's term bit for bit.
     """
-    ratio = float(phi_at_n) / np.asarray(diag, dtype=float)
+    ratio, entry = np.unique(float(phi_at_n) / np.asarray(diag, dtype=float),
+                             return_inverse=True)
     m = (trials + 1) // 2
 
     def median_cdf(t):
-        logH = np.log(gammainc(alpha, t * ratio)).sum()
-        return float(betainc(m, m, np.exp(logH)))
+        x = t * ratio
+        upper = x >= alpha
+        logP = np.log(gammainc(alpha, x))
+        logP[upper] = np.log1p(-gammaincc(alpha, x[upper]))
+        return float(betainc(m, m, np.exp(logP[entry].sum())))
 
     def invert(target):
         lo, hi = 1e-9, 1.0
@@ -506,6 +515,15 @@ class TestCalibrationBand:
         phi_at_n = float(predict(spec, "zero", 0.5, **hyp).normalizer(n))
         got = analytic_median_band(diag, phi_at_n, 0.5, 21)
         ref = bisection_band(diag, phi_at_n, 0.5, 21)
+        np.testing.assert_allclose(got, ref, rtol=1e-12)
+
+    def test_one_value_diagonal_at_one_million_matches_bisection(self):
+        # a sum of 10^6 equal terms near log 1: the reference must keep
+        # the digits of log P there to check the band at rtol 1e-12
+        n = 1_000_000
+        diag, phi_at_n = np.full(n, 2.0), np.log(n)
+        got = analytic_median_band(diag, phi_at_n, 0.5, 5)
+        ref = bisection_band(diag, phi_at_n, 0.5, 5)
         np.testing.assert_allclose(got, ref, rtol=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
