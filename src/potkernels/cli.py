@@ -78,9 +78,9 @@ _SCHEMAS = {
         {"f": "object", "trials": "int", "l": "int"},
     ),
     "limsup": (
-        {"checkpoints": "ints", "trials": "int"},
-        {"spec": "spec", "alpha": "number", "hypotheses": "object", "f": "object",
-         "mode": "string", "log_s": "numbers"},
+        {"checkpoints": "ints", "trials": "int", "spec": "spec", "alpha": "number",
+         "hypotheses": "object"},
+        {"f": "object", "mode": "string"},
     ),
     "symmetrize": (
         {"spec": "spec", "window": "object", "f": "object"},
@@ -89,6 +89,10 @@ _SCHEMAS = {
 }
 _NEEDS_SEED = {"simulate", "limsup"}
 _LIMSUP_MODES = ("permanental", "gaussian-lil")
+# limsup in gaussian-lil mode: it reads no field of the permanental mode,
+# and refuses each, as that mode refuses log_s
+_GAUSSIAN_LIL = ({"checkpoints": "ints", "trials": "int", "mode": "string",
+                  "log_s": "numbers"}, {})
 
 
 def _q(value, citation):
@@ -377,8 +381,6 @@ def _run_limsup(cfg, seed, outdir, quiet):
     checkpoints = tuple(cfg["checkpoints"])
     trials = cfg["trials"]
     if mode == "gaussian-lil":
-        if "log_s" not in cfg:
-            raise InputError("gaussian-lil limsup needs log_s")
         config = ExperimentConfig(
             spec=None,
             alpha=None,
@@ -391,8 +393,6 @@ def _run_limsup(cfg, seed, outdir, quiet):
         report = limsup_experiment(config)
         doc = {"command": "limsup", "report": report.to_json()}
     else:
-        if "spec" not in cfg or "hypotheses" not in cfg or "alpha" not in cfg:
-            raise InputError("permanental limsup needs spec, alpha, hypotheses")
         spec = KernelSpec.from_config(cfg["spec"])
         f_class, hyp_alpha, kwargs = _hypothesis_kwargs(cfg["hypotheses"])
         outcome = predict(spec, f_class, hyp_alpha, **kwargs)
@@ -493,6 +493,8 @@ def _load_config(path):
     if not isinstance(command, str) or command not in _RUNNERS:
         raise InputError(f"unknown command: {command!r}")
     required, optional = _SCHEMAS[command]
+    if command == "limsup" and doc.get("mode") == "gaussian-lil":
+        required, optional = _GAUSSIAN_LIL
     _check_fields(doc, {**_COMMON, **required, **optional}, required, "config")
     return command, doc
 

@@ -1,10 +1,11 @@
 """Seeded Monte Carlo for Gaussian and permanental sequences.
 
 Gaussian paths are generated through the defining recursions of each kernel
-family (independent increments for min kernels, one-pole filters for
-exponential and autoregressive kernels, a band Cholesky factor of the
-precision for the killed walk), so covariances are exact and the work per
-index is O(order or band); a rank-one update, not symmetric, is refused.
+family (independent increments for min kernels, a unit band solve of the
+recurrence for exponential and autoregressive kernels, a band Cholesky
+factor of the precision for the killed walk), so covariances are exact and
+the work per index is O(order or band); a rank-one update, not symmetric,
+is refused.
 Permanental samples with half-integer alpha are sums of squared Gaussian
 replicas over the symmetrized kernel U + a a^T, with the sandwich weights
 attached to quantify the distance to the law of the original non-symmetric
@@ -109,11 +110,14 @@ def sample_gaussian(spec, n, seed, trials=1):
     """Gaussian sample paths with covariance build_kernel(spec, Window(0, n)).
 
     O(n) per path through the family's `path_stream`; the killed walk needs
-    n = 2R + 1 and symmetric rates, and a rank-one update is refused.
+    n = 2R + 1 and symmetric rates. A rank-one update, trials < 1 and n < 1
+    are refused before any draw.
     """
-    rng = _trial_rng(seed, 0)
-    values = _gaussian_paths(spec, n, rng, trials)
-    return SampleBatch(values=values, spec=spec, seed=seed, window=Window(0, n))
+    if trials < 1:
+        raise InputError("trials must be >= 1")
+    window = Window(0, n)
+    values = _gaussian_paths(spec, n, _trial_rng(seed, 0), trials)
+    return SampleBatch(values=values, spec=spec, seed=seed, window=window)
 
 
 def _f_values(f, l, n):

@@ -454,8 +454,8 @@ class TestLimsup:
         assert code == 0
         assert "band" not in read_json(outdir, "limsup.json")
 
-    def test_gaussian_lil_mode(self, tmp_path):
-        cfg = {
+    def lil_config(self):
+        return {
             "command": "limsup",
             "mode": "gaussian-lil",
             "checkpoints": [50, 100],
@@ -463,11 +463,33 @@ class TestLimsup:
             "seed": 1,
             "log_s": [float(np.log(j + 1.0)) for j in range(1, 101)],
         }
-        code, outdir = run_cli(tmp_path, cfg)
+
+    def test_gaussian_lil_mode(self, tmp_path):
+        code, outdir = run_cli(tmp_path, self.lil_config())
         assert code == 0
         doc = read_json(outdir, "limsup.json")
         assert doc["report"]["theorem"] == "gaussian-lil"
         assert "family" not in doc
+
+    def test_gaussian_lil_refuses_permanental_fields(self, tmp_path, capsys):
+        extra = self.limsup_config(trials=3)
+        extra["f"] = {"values": [50.0] * 100}
+        for field in ("spec", "alpha", "hypotheses", "f"):
+            cfg = dict(self.lil_config(), **{field: extra[field]})
+            code, _ = run_cli(tmp_path, cfg, outname=field)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"unknown fields in config: [{field!r}]" in err
+
+    def test_permanental_refuses_log_s(self, tmp_path, capsys):
+        cfg = self.limsup_config(trials=3)
+        cfg["log_s"] = [float(np.log(j + 1.0)) for j in range(1, 121)]
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert "unknown fields in config: ['log_s']" in capsys.readouterr().err
+        code, _ = run_cli(tmp_path, dict(cfg, mode="permanental"), outname="explicit")
+        assert code == 2
+        assert "unknown fields in config: ['log_s']" in capsys.readouterr().err
 
     def test_killed_walk_over_its_whole_lattice(self, tmp_path, capsys):
         cfg = {

@@ -365,7 +365,8 @@ def filter_threads():
 
 
 class TestTiledStreams:
-    @pytest.mark.parametrize("tile", [1, 2, 3])
+    # 4096 is the production tile width, so rows 4097 and 12290 take 2 and 4 tiles
+    @pytest.mark.parametrize("tile", [1, 2, 3, kernels.ROW_TILE])
     @pytest.mark.parametrize("family", sorted(STREAMED))
     def test_matches_untiled_reference(self, family, tile, monkeypatch):
         spec = STREAMED[family]

@@ -110,6 +110,16 @@ class TestGaussianSampler:
         c = sample_gaussian(spec, 10, seed=12, trials=4).values
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_refuses_trials_below_one(self, trials):
+        with pytest.raises(InputError, match="trials must be >= 1"):
+            sample_gaussian(AR1(x=np.full(9, 0.5)), 10, seed=1, trials=trials)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_refuses_n_below_one(self, n):
+        with pytest.raises(InputError, match="n >= 1"):
+            sample_gaussian(AR1(x=np.full(9, 0.5)), n, seed=1, trials=2)
+
     def test_killed_walk_dense_route(self):
         spec = KilledWalk(step_rates={-1: 0.5, 1: 0.5}, beta=1.0, radius=8)
         batch = sample_gaussian(spec, 17, seed=5, trials=6)
