@@ -100,8 +100,11 @@ def linear_recurrence(c, u, history):
     it (Rue & Held, Gaussian Markov Random Fields, 2005, ch. 2). At k = 1
     that is u[j] + c[j] y[j-1], the plain recurrence bit for bit. The band
     is held in Fortran order and u solved as u.T, so a C-contiguous u is
-    solved in place, with no copy.
+    solved in place, with no copy. An empty u is returned untouched: LAPACK
+    must not see an empty right-hand side, which corrupts the heap.
     """
+    if u.size == 0:
+        return u
     k, n = len(c), u.shape[-1]
     c = np.broadcast_to(c, (k, n))
     if c.strides[1] == 0:      # constant in j: one band column, repeated
@@ -307,6 +310,8 @@ def _truncation_index(r, d_max, eps=SERIES_EPS):
 def phi_closed(p, N):
     """phi[n] = sum_l sum_j B_j(q_l) C(j-1+n, j-1) q_l^{-n} for n = 1..N."""
     p = _check_p(p)
+    if N < 1:
+        raise InputError("N must be >= 1")
     tbl = partial_fractions(p)
     roots = tbl.root_set.roots
     mults = tbl.root_set.multiplicities
@@ -316,7 +321,7 @@ def phi_closed(p, N):
         inv_pow = np.power(1.0 / q, n)
         for j in range(1, d + 1):
             acc += tbl.B[l][j - 1] * comb(j - 1 + n, j - 1) * inv_pow
-    imag = np.abs(acc.imag).max() if N else 0.0
+    imag = np.abs(acc.imag).max()
     if imag > REAL_PROJECTION_TOL:
         raise IdentityError(
             "phi-closed-form", f"imaginary residue {imag:.3e} after conjugate pairing"

@@ -44,24 +44,14 @@ from .mcsim import (
     limsup_experiment,
     sample_permanental,
 )
-from .normalizers import NoTheorem, predict
+from .normalizers import HYPOTHESES, NoTheorem, predict
 from .serialize import write_json, write_matrix_csv, write_sequence_csv, write_table_csv
 from .symmetrize import analyze, extend, sandwich_factor
 
 OUT_ENV = "POTKERNELS_OUT"
 
 # JSON kind of each config field (`kernels._KINDS`), checked at parse time
-_HYPOTHESES = {
-    "f_class": "string",
-    "alpha": "number",
-    "growth": "string",
-    "gaps": "string",
-    "x_limit": "number",
-    "reg_var_index": "number",
-    "rate_limit": "number",
-    "rate_index": "number",
-    "f_sqrt_small": "bool",
-}
+_HYPOTHESES = dict(f_class="string", alpha="number", **HYPOTHESES)
 _WINDOW = {"l": "int", "n": "int"}
 _F = {"values": "numbers", "density": "numbers", "start": "int", "tail": "number"}
 _COMMON = {"command": "string", "seed": "int", "out": "string"}

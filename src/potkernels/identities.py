@@ -80,8 +80,6 @@ IDENTITIES = {
     "trend-direction": "median normalized running max moves toward the predicted constant as N grows",
 }
 
-DERIVED = "derived"
-
 
 def describe(key):
     """Return the registered description for an identity key."""

@@ -17,7 +17,8 @@ functions call after checking `admissibility()`:
   updates;
 - `admissibility()`: the family's `AdmissibilityDecision`;
 - `hypotheses` and `prediction(f_class, alpha, **declared)`: the limit
-  hypotheses that `normalizers.predict` reads, and the theorem they select.
+  hypotheses, names from `normalizers.HYPOTHESES`, that `normalizers.predict`
+  reads, and the theorem they select.
 
 The autoregressive families (min, exp, AR1, AR1Shifted, ARk, ARkGen) state
 their Gaussian chain once, `_chain(lo, hi)`, and its `_order`; the banded
@@ -690,8 +691,7 @@ class AR1(_Chain):
         if n > self.x.size + 1:
             raise InputError("x too short for requested diagonal")
         d = np.ones(n)
-        if n > 1:          # a window's head asks for one value, with no filter
-            d[1:] = linear_recurrence(self.x[None, : n - 1] ** 2, d[1:], 1.0)
+        d[1:] = linear_recurrence(self.x[None, : n - 1] ** 2, d[1:], 1.0)
         return d
 
     def window_entries(self, window):
@@ -1039,6 +1039,8 @@ class KilledWalk(KernelSpec):
         factor = cholesky_banded(band[: band.shape[0] // 2 + 1])
 
         def filt(g, j0, r):      # one triangular band solve, in place on g
+            if g.size == 0:      # an empty right-hand side corrupts the heap
+                return g
             return lapack.dtbtrs(factor, g.T, overwrite_b=1)[0].T
 
         return _filtered_chunks(rng, rows, size, size, filt)
@@ -1372,6 +1374,8 @@ def decay_envelope(entries):
     """
     U = np.asarray(entries, dtype=float)
     n = U.shape[0]
+    if n < 2:
+        raise InputError("decay envelope needs a window of n >= 2")
     # drop the largest distances, which only a corner entry attains
     dmax = max(2, (3 * n) // 4)
     envelope = np.array([

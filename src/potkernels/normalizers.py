@@ -9,7 +9,10 @@ computed from log(s) so that astronomically large sequences stay in range.
 kernel family plus caller-declared limit hypotheses to the normalizer
 sequence and limsup constant of the matching limit theorem. Hypotheses about
 asymptotics are never inferred from finitely many stored terms; the caller
-must state them.
+must state them. Their names and JSON kinds are written once, in
+`HYPOTHESES`, which the CLI's config check reads. Each theorem gives only its
+normalizer's formula, label and stored length to one constructor, `_tagged`,
+which checks the indices; the default growth route reads K_s from `koval`.
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +27,18 @@ RATIO_TREND_FLOOR = -0.05
 CEILING_SLACK = 1e-9
 
 F_CLASSES = ("zero", "potential-l1", "c0")
+
+# the limit hypotheses that `predict` takes, with the JSON kind of each
+# (`kernels._KINDS`); a family reads those in its `hypotheses`
+HYPOTHESES = {
+    "growth": "string",
+    "gaps": "string",
+    "x_limit": "number",
+    "reg_var_index": "number",
+    "rate_limit": "number",
+    "rate_index": "number",
+    "f_sqrt_small": "bool",
+}
 
 
 def _log_sequence(s, log_s):
@@ -172,34 +187,22 @@ class NoTheorem:
         return {"outcome": "no-theorem", "reason": self.reason}
 
 
-def _as_index(j):
-    jj = np.asarray(j)
-    if np.any(jj < 1):
-        raise InputError("indices are 1-based")
-    return jj
+def _tagged(expr, label, constant, tag, validity="all-alpha", stored=None):
+    """A Prediction whose normalizer is expr on 1-based indices.
 
-
-def _scalar_like(j, out):
-    return float(out) if np.isscalar(j) else out
-
-
-def _log_j(j):
-    return _scalar_like(j, np.log(_as_index(j)))
-
-
-def _growth_normalizer(logs, diag, diag_label):
-    capped = np.concatenate(([np.nan], np.cumsum(np.minimum(1.0, np.diff(logs)))))
-
+    This is the one normalizer constructor. The normalizer refuses j < 1,
+    and j past the `stored` terms that expr reads, before expr runs; scalar
+    in, scalar out.
+    """
     def normalizer(j):
-        jj = _as_index(j)
-        if np.any(jj > logs.size):
+        jj = np.asarray(j)
+        if np.any(jj < 1):
+            raise InputError("indices are 1-based")
+        if stored is not None and np.any(jj > stored):
             raise InputError("j beyond stored sequence length")
-        return _scalar_like(j, diag(jj) * np.log(capped[jj - 1]))
+        out = expr(jj)
+        return float(out) if np.isscalar(j) else out
 
-    return normalizer, f"{diag_label} * K_s(j)"
-
-
-def _tagged(normalizer, label, constant, tag, validity="all-alpha"):
     return Prediction(
         normalizer=normalizer,
         normalizer_label=label,
@@ -209,29 +212,27 @@ def _tagged(normalizer, label, constant, tag, validity="all-alpha"):
     )
 
 
+def _j_loglog_j(jj):
+    return jj * np.log(np.log(jj))
+
+
 def _predict_min_like(logs, diag, diag_label, family, f_class, growth):
     if f_class not in ("zero", "potential-l1"):
         return NoTheorem(
             f"{family} kernels need f = 0 or f built from a summable density"
         )
     if growth is None:
-        normalizer, label = _growth_normalizer(logs, diag, diag_label)
-        return _tagged(normalizer, label, 1.0, f"{family}-growth")
-    if growth == "geometric":
-        def normalizer(j):
-            jj = _as_index(j)
-            return _scalar_like(j, diag(jj) * np.log(jj))
-        return _tagged(normalizer, f"{diag_label} * log(j)", 1.0, f"{family}-geometric")
-    if growth == "bounded-ratio":
-        def normalizer(j):
-            jj = _as_index(j)
-            if np.any(jj > logs.size):
-                raise InputError("j beyond stored sequence length")
-            return _scalar_like(j, diag(jj) * np.log(logs[jj - 1]))
-        return _tagged(
-            normalizer, f"{diag_label} * loglog(s[j])", 1.0, f"{family}-bounded-ratio"
-        )
-    raise InputError("growth must be None, 'geometric', or 'bounded-ratio'")
+        expr, label, tag = lambda jj: koval(log_s=logs, j=jj), "K_s(j)", "growth"
+    elif growth == "geometric":
+        expr, label, tag = np.log, "log(j)", "geometric"
+    elif growth == "bounded-ratio":
+        expr, label, tag = lambda jj: np.log(logs[jj - 1]), "loglog(s[j])", "bounded-ratio"
+    else:
+        raise InputError("growth must be None, 'geometric', or 'bounded-ratio'")
+    return _tagged(
+        lambda jj: diag(jj) * expr(jj), f"{diag_label} * {label}", 1.0,
+        f"{family}-{tag}", stored=logs.size,
+    )
 
 
 def _predict_ar1(spec, f_class, alpha, x_limit=None, reg_var_index=None,
@@ -245,15 +246,9 @@ def _predict_ar1(spec, f_class, alpha, x_limit=None, reg_var_index=None,
     if len(stated) > 1:
         raise InputError("declare exactly one limit hypothesis for x")
 
-    x = spec.x
-    n_max = x.size
-    diag = spec.diagonal(n_max + 1)
-    logt = np.concatenate(([0.0], np.cumsum(np.log(x))))
-
-    def u_diag(jj):
-        if np.any(jj > n_max + 1):
-            raise InputError("j beyond stored sequence length")
-        return diag[jj - 1]
+    stored = spec.x.size + 1
+    diag = spec.diagonal(stored)
+    logt = np.concatenate(([0.0], np.cumsum(np.log(spec.x))))
 
     if x_limit is not None:
         if not 0 < x_limit <= 1:
@@ -265,19 +260,17 @@ def _predict_ar1(spec, f_class, alpha, x_limit=None, reg_var_index=None,
                     "summable density"
                 )
 
-            def normalizer(j):
-                jj = _as_index(j)
-                d = u_diag(jj)
-                log_s = np.log(d) - 2 * logt[np.minimum(jj, n_max + 1) - 1]
-                return _scalar_like(j, d * np.log(log_s))
+            def critical(jj):
+                d = diag[jj - 1]
+                return d * np.log(np.log(d) - 2 * logt[jj - 1])
 
             return _tagged(
-                normalizer, "U[j,j] * loglog(s[j])", 1.0, "ar1-critical"
+                critical, "U[j,j] * loglog(s[j])", 1.0, "ar1-critical", stored=stored
             )
         if f_class not in ("zero", "c0"):
             return NoTheorem("the subcritical chain needs f = 0 or f vanishing at infinity")
         return _tagged(
-            _log_j, "log(j)", 1.0 / (1.0 - x_limit**2), "ar1-subcritical"
+            np.log, "log(j)", 1.0 / (1.0 - x_limit**2), "ar1-subcritical"
         )
 
     if f_class not in ("zero", "potential-l1"):
@@ -287,57 +280,37 @@ def _predict_ar1(spec, f_class, alpha, x_limit=None, reg_var_index=None,
         beta = float(reg_var_index)
         if not 0 < beta < 1:
             raise InputError("reg_var_index must lie in (0, 1)")
-
-        def normalizer(j):
-            jj = _as_index(j)
-            return _scalar_like(j, u_diag(jj) * np.log(jj))
-
         return _tagged(
-            normalizer, "U[j,j] * log(j)", 1.0 - beta, "ar1-regular-variation"
+            lambda jj: diag[jj - 1] * np.log(jj), "U[j,j] * log(j)", 1.0 - beta,
+            "ar1-regular-variation", stored=stored,
         )
 
     if rate_limit is not None:
         c = float(rate_limit)
         if c < 0:
             raise InputError("rate_limit must be >= 0")
-
-        def normalizer(j):
-            jj = _as_index(j)
-            return _scalar_like(j, jj * np.log(np.log(jj)))
-
         return _tagged(
-            normalizer, "j * loglog(j)", 1.0 / (1.0 + c), "ar1-critical-rate"
+            _j_loglog_j, "j * loglog(j)", 1.0 / (1.0 + c), "ar1-critical-rate"
         )
 
     beta = float(rate_index)
     if not 0 < beta < 1:
         raise InputError("rate_index must lie in (0, 1)")
-
-    def normalizer(j):
-        jj = _as_index(j)
-        return _scalar_like(j, jj**beta * np.log(jj))
-
     return _tagged(
-        normalizer, "j^beta * log(j)", 1.0 - beta, "ar1-critical-index"
+        lambda jj: jj**beta * np.log(jj), "j^beta * log(j)", 1.0 - beta,
+        "ar1-critical-index",
     )
 
 
 def _predict_ark(p, f_class, alpha, f_sqrt_small):
     if abs(p.sum() - 1.0) > 1e-12:
-        if f_class not in ("zero", "c0", "potential-l1"):
-            raise InputError(f"unknown f_class {f_class!r}")
-        return _tagged(_log_j, "log(j)", c_star(p).value, "ark-transient")
+        return _tagged(np.log, "log(j)", c_star(p).value, "ark-transient")
 
     if f_class not in ("zero", "potential-l1"):
         return NoTheorem(
             "the unit-drift chain needs f = 0 or f built from a summable density"
         )
     c1 = phi_recursive(p, 1).c1
-
-    def normalizer(j):
-        jj = _as_index(j)
-        return _scalar_like(j, jj * np.log(np.log(jj)))
-
     upgraded = f_sqrt_small or f_class == "zero"
     validity = "all-alpha" if upgraded else "alpha-ge-half"
     if not upgraded and alpha < 0.5:
@@ -345,7 +318,7 @@ def _predict_ark(p, f_class, alpha, f_sqrt_small):
             "the unit-drift theorem is proven for alpha >= 1/2; assert "
             "f_sqrt_small (f[j] = o(sqrt(j))) to extend it"
         )
-    return _tagged(normalizer, "j * loglog(j)", c1**2, "ark-unit-drift", validity)
+    return _tagged(_j_loglog_j, "j * loglog(j)", c1**2, "ark-unit-drift", validity)
 
 
 def _predict_exp(v, f_class, growth, gaps):
@@ -360,59 +333,43 @@ def _predict_exp(v, f_class, growth, gaps):
             return NoTheorem(
                 "bounded gaps need f = 0 or f built from a summable density"
             )
-
-        def normalizer(j):
-            jj = _as_index(j)
-            if np.any(jj > v.size):
-                raise InputError("j beyond stored sequence length")
-            return _scalar_like(j, np.log(v[jj - 1]))
-
-        return _tagged(normalizer, "log(v[j])", 1.0, "exp-bounded-gaps")
+        return _tagged(
+            lambda jj: np.log(v[jj - 1]), "log(v[j])", 1.0, "exp-bounded-gaps",
+            stored=v.size,
+        )
     if gaps == "separated":
         if f_class not in ("zero", "c0"):
             return NoTheorem(
                 "separated gaps need f = 0 or f vanishing at infinity"
             )
-        return _tagged(_log_j, "log(j)", 1.0, "exp-separated-gaps")
+        return _tagged(np.log, "log(j)", 1.0, "exp-separated-gaps")
     raise InputError("gaps must be None, 'bounded', or 'separated'")
 
 
 def _predict_killed_walk(u00):
-    return _tagged(_log_j, "log(n)", u00, "killed-walk")
+    return _tagged(np.log, "log(n)", u00, "killed-walk")
 
 
-def predict(
-    spec,
-    f_class,
-    alpha,
-    *,
-    growth=None,
-    gaps=None,
-    x_limit=None,
-    reg_var_index=None,
-    rate_limit=None,
-    rate_index=None,
-    f_sqrt_small=False,
-):
+def predict(spec, f_class, alpha, **declared):
     """Match the declared configuration to a limit theorem.
 
     Returns a Prediction, or a NoTheorem outcome when nothing covers the
-    configuration. Limit hypotheses (growth / gaps / x_limit / reg_var_index
-    / rate_limit / rate_index / f_sqrt_small) are taken as stated, never
-    checked against the stored finite prefix. A hypothesis that the family
-    does not read (`spec.hypotheses`) is refused with InputError, as is an
-    inadmissible spec with its IdentityError.
+    configuration. The limit hypotheses are the names in `HYPOTHESES`,
+    taken as stated, never checked against the stored finite prefix; None,
+    and False for a flag, is no declaration. A declared hypothesis that the
+    family does not read (`spec.hypotheses`) is refused with InputError, as
+    is an inadmissible spec with its IdentityError. Every normalizer comes
+    from the one constructor `_tagged`, which refuses indices below 1 and
+    past the stored terms that its formula reads.
     """
     if f_class not in F_CLASSES:
         raise InputError(f"f_class must be one of {F_CLASSES}")
     if not alpha > 0:
         raise InputError("alpha must be positive")
-    stated = dict(
-        growth=growth, gaps=gaps, x_limit=x_limit, reg_var_index=reg_var_index,
-        rate_limit=rate_limit, rate_index=rate_index,
-        f_sqrt_small=f_sqrt_small or None,    # False is not a declaration
-    )
-    declared = {name: value for name, value in stated.items() if value is not None}
+    declared = {    # None, and a false flag, is no declaration
+        name: value for name, value in declared.items()
+        if value is not None and (value or HYPOTHESES.get(name) != "bool")
+    }
     spec.admissibility().require()
     unread = [name for name in declared if name not in spec.hypotheses]
     if unread:

@@ -85,13 +85,6 @@ class SymmetrizationLedger:
     r_vec: np.ndarray          # window-inverse row sums: sum_i r[i] U[i,j] = 1
     m_vec: np.ndarray          # sqrt(c * r)
 
-    def scalars(self):
-        return {
-            "rho": self.rho,
-            "nu": self.nu,
-            "nu_upper": 1.0 + self.rho,
-        }
-
 
 def _symmetrize_sign_checked(A):
     tiny = 1e-12 * max(1.0, np.abs(A).max())

@@ -140,6 +140,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             phi_recursive((0.8, 0.4), 5)
 
+    @pytest.mark.parametrize("route", [phi_recursive, phi_closed])
+    def test_rejects_no_terms(self, route):
+        with pytest.raises(InputError, match="N must be >= 1"):
+            route((0.5, 0.25), 0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize(
         "route", [lambda p: phi_recursive(p, 3), c_star], ids=["phi_recursive", "c_star"]

@@ -535,6 +535,34 @@ class TestLimsup:
         assert code == 0
         assert solves == [(21, 21)]
 
+    @pytest.mark.parametrize(
+        "spec, hypotheses",
+        [
+            *[(spec, growth)
+              for spec in (min_spec(30),
+                           {"family": "scaled_min", "s": min_spec(30)["s"], "b": [2.0] * 30},
+                           {"family": "shifted_scaled", "s": min_spec(30)["s"],
+                            "b": [2.0] * 30, "Delta": 0.5})
+              for growth in ({"growth": "geometric"}, {}, {"growth": "bounded-ratio"})],
+            (exp_spec(30), {"growth": "geometric"}),
+            (exp_spec(30), {}),
+            (exp_spec(30), {"gaps": "bounded"}),
+            ({"family": "ar1", "x": [1.0] * 29}, {"x_limit": 1.0}),
+            ({"family": "ar1", "x": [0.5] * 29}, {"reg_var_index": 0.5}),
+        ],
+        ids=lambda case: case.get("family")
+        or "-".join(f"{k}={v}" for k, v in case.items()) or "default",
+    )
+    def test_checkpoint_past_the_stored_terms_exits_two(
+        self, tmp_path, capsys, spec, hypotheses
+    ):
+        # every normalizer that reads a stored term refuses an index past it
+        cfg = dict(self.limsup_config(trials=3), spec=spec, checkpoints=[10, 31])
+        cfg["hypotheses"] = {"f_class": "zero", "alpha": 0.5, **hypotheses}
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert "j beyond stored sequence length" in capsys.readouterr().err
+
     def test_no_theorem_exits_two(self, tmp_path, capsys):
         cfg = self.limsup_config(trials=3)
         cfg["hypotheses"]["f_class"] = "potential-l1"

@@ -1,10 +1,12 @@
 """Kernel construction, structured inverses, generators, and dual checks."""
 
 import multiprocessing
+import subprocess
 import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +243,23 @@ ORDER_K = {
 }
 
 
+ZERO_ROWS_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from potkernels import AR1, KilledWalk
+from potkernels.argen import linear_recurrence
+walk = KilledWalk(step_rates={-1: 0.5, 1: 0.5}, beta=1.0, radius=4)
+rng = np.random.default_rng(0)
+for _ in range(300):
+    y = linear_recurrence(np.full((1, 7), 0.5), np.empty((0, 7)), np.zeros((0, 1)))
+    ar1 = np.concatenate(list(AR1(x=np.full(9, 0.5)).path_stream(9, rng, 0, 9)))
+    lattice = np.concatenate(list(walk.path_stream(9, rng, 0, 9)))
+    head = AR1(x=np.full(9, 0.5)).diagonal(1)
+print(y.shape, ar1.shape, lattice.shape, head)
+"""
+
+
 class TestLinearRecurrence:
     @settings(max_examples=200, deadline=None)
     @given(case=one_pole_inputs(st.one_of(
@@ -272,6 +291,16 @@ class TestLinearRecurrence:
         u = np.random.default_rng(6).standard_normal((4, 9))
         y = linear_recurrence(np.full((2, 1), 0.25), u, 0.0)
         assert np.shares_memory(y, u) and np.array_equal(y, u)
+
+    def test_zero_rows_leave_lapack_alone(self):
+        # an empty right-hand side to dtbtrs corrupts the heap, which kills
+        # the interpreter within a few hundred calls; run them in a child
+        proc = subprocess.run(
+            [sys.executable, "-c", ZERO_ROWS_CHILD, str(Path(kernels.__file__).parents[1])],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["(0,", "7)", "(0,", "9)", "(0,", "9)", "[1.]"]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5000])
     @pytest.mark.parametrize("rows", [1, 21])
@@ -1005,6 +1034,10 @@ class TestDecayEnvelope:
         U = dense_window(spec, Window(0, n))
         assert not np.array_equal(U, U.T)
         assert decay_envelope(U) == masked_envelope(U)
+
+    def test_refuses_a_single_entry(self):
+        with pytest.raises(InputError, match="n >= 2"):
+            decay_envelope(np.ones((1, 1)))
 
 
 class TestSpecEquality:

@@ -9,6 +9,7 @@ from potkernels import (
     ARk,
     ARkGen,
     ExpKernel,
+    InputError,
     KilledWalk,
     MinKernel,
     NoTheorem,
@@ -18,6 +19,8 @@ from potkernels import (
     predict,
     regime,
 )
+from potkernels import cli, kernels
+from potkernels.normalizers import HYPOTHESES
 
 
 class TestKoval:
@@ -195,14 +198,23 @@ class TestPredictOther:
              {"growth": "geometric"}),
             (RankOneUpdate(base=ExpKernel(v=np.arange(6.0)), k=1, l=2, b=0.5),
              {"gaps": "separated"}),
+            (MinKernel(s=np.arange(1.0, 40.0)), {"bogus": 1}),
         ],
         ids=["min-gaps", "shifted_scaled-x_limit", "shifted_scaled-f_sqrt_small",
              "exp-growth-and-gaps", "ar1_shifted-growth", "ark_gen-x_limit",
-             "killed_walk-growth", "rank_one-gaps"],
+             "killed_walk-growth", "rank_one-gaps", "min-unknown"],
     )
     def test_unread_hypothesis_is_refused(self, spec, hypotheses):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             predict(spec, "zero", 0.5, **hypotheses)
+
+    def test_one_hypothesis_table(self):
+        # the table holds the names that the families read (a derived
+        # family reads its base's), and the CLI checks the config by it
+        read = {name for cls in kernels._FAMILIES.values()
+                if isinstance(cls.hypotheses, tuple) for name in cls.hypotheses}
+        assert read == set(HYPOTHESES)
+        assert cli._HYPOTHESES == {"f_class": "string", "alpha": "number", **HYPOTHESES}
 
     def test_default_hypotheses_are_not_declarations(self):
         pred = predict(ARkGen(p=(0.5, 0.25), a_sq=0.4), "zero", 0.5,
