@@ -6,7 +6,12 @@ with x = 1/2 at n = 40, indices 2, 10 and 30, alpha 1/2 and 3/2 (10^5 and
 3 x 10^5 Gaussian rows of 30 steps). Its cost is the normal draws, the
 filter and the KS supremum per index. `test_stream` times the bare stream
 at the larger size, 3 x 10^5 rows of 30 steps of the exp recurrence, drawn
-and filtered with nothing after it. `test_window_inverse` times
+and filtered with nothing after it, keeping all 30 columns (`all`) or the
+three that the KS harness reads (`ks`). Both tests also run the call once
+under `tracemalloc`, apart from the timed calls, and write its peak in MiB
+to `extra_info["tracemalloc_peak_mib"]`: a wide stream holds one (rows,
+kept) block per chunk, so the peak follows the kept columns, not the 30
+steps. `test_window_inverse` times
 `window_inverse` on min, exp, AR1, ARk and ARkGen windows from l = 1 at
 n = 400 and 2000: building the window and the closed chain precision of
 each, with its condition estimate and residual check, the same for all
@@ -20,6 +25,8 @@ it. Run it from a source checkout:
 
     python -m pytest benchmarks/test_ks.py --benchmark-json=ks.json
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,24 +72,44 @@ WINDOW_ROWS = [
 ] + [("rank_one_update", 300, 0)]
 
 
+def traced_peak_mib(fn, *args):
+    """The tracemalloc peak of one untimed call of fn, in MiB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.5])
 @pytest.mark.parametrize("family", sorted(KS_FAMILIES))
 def test_gamma_marginal(benchmark, family, alpha):
     spec = KS_FAMILIES[family](KS_N)
-    report = benchmark(gamma_marginal_test, spec, None, alpha, INDICES, SAMPLES, 7)
+    args = (spec, None, alpha, INDICES, SAMPLES, 7)
+    benchmark.extra_info["tracemalloc_peak_mib"] = traced_peak_mib(gamma_marginal_test, *args)
+    report = benchmark(gamma_marginal_test, *args)
     assert len(report.records) == len(INDICES)
 
 
-def consume_stream(spec, rows, n):
+def consume_stream(spec, rows, n, cols):
     last = None
-    for block in spec.path_stream(n, _trial_rng(7, 0), rows, 256):
+    for block in spec.path_stream(n, _trial_rng(7, 0), rows, 256, cols):
         last = block
     return last
 
 
-def test_stream(benchmark):
-    last = benchmark(consume_stream, KS_FAMILIES["exp"](KS_N), 3 * SAMPLES, 30)
-    assert last.shape == (3 * SAMPLES, 30)
+# the stream's kept columns: all 30, or the 0-based KS indices
+STREAM_COLUMNS = {"all": None, "ks": np.array(INDICES) - 1}
+
+
+@pytest.mark.parametrize("kept", sorted(STREAM_COLUMNS))
+def test_stream(benchmark, kept):
+    args = (KS_FAMILIES["exp"](KS_N), 3 * SAMPLES, 30, STREAM_COLUMNS[kept])
+    benchmark.extra_info["tracemalloc_peak_mib"] = traced_peak_mib(consume_stream, *args)
+    last = benchmark(consume_stream, *args)
+    width = 30 if STREAM_COLUMNS[kept] is None else len(INDICES)
+    assert last.shape == (3 * SAMPLES, width)
 
 
 @pytest.mark.parametrize(

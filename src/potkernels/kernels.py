@@ -10,11 +10,11 @@ functions call after checking `admissibility()`:
 - `window_entries(window)`: dense kernel values (`build_kernel`);
 - `generator(size)`: truncated generator and its band (`build_generator`);
 - `diagonal(n)`: U[j,j] for j = 1..n (`mcsim.kernel_diagonal`);
-- `path_stream(n_max, rng, rows, chunk)`: chunked Gaussian paths with the
-  kernel as covariance: the chain's recurrence as one unit band solve per
-  chunk (`argen.linear_recurrence`), the killed walk's solve with the band
-  Cholesky factor of its precision, and the base's refusal for rank-one
-  updates;
+- `path_stream(n_max, rng, rows, chunk, cols=None)`: chunked Gaussian paths
+  with the kernel as covariance at the sorted 0-based columns `cols` (all by
+  default): the chain's recurrence as one unit band solve per chunk
+  (`argen.linear_recurrence`), the killed walk's solve with the band Cholesky
+  factor of its precision, and the base's refusal for rank-one updates;
 - `admissibility()`: the family's `AdmissibilityDecision`;
 - `hypotheses` and `prediction(f_class, alpha, **declared)`: the limit
   hypotheses, names from `normalizers.HYPOTHESES`, that `normalizers.predict`
@@ -114,46 +114,55 @@ def _part(c, j0, m):
     return c if np.ndim(c) == 0 else c[j0 : j0 + m]
 
 
-def _fill(out, rows, filt, g, j0):
-    out[rows] = filt(g, j0, rows)
+def _fill(out, rows, filt, g, j0, take):
+    out[rows] = filt(g, j0, rows)[:, take]
 
 
-def _filtered_chunks(rng, rows, n_max, chunk, filt):
+def _filtered_chunks(rng, rows, n_max, chunk, filt, cols=None):
     """Chunks of filtered Gaussian innovations, drawn in row tiles.
 
     filt(g, j0, rows) filters the innovations g of the paths `rows` for
     the chunk starting at column j0, and carries their state into the next
-    chunk. A chunk of at most ROW_TILE rows is one draw and one call. A
-    wider chunk is drawn in tiles of ROW_TILE rows, each a block of
-    consecutive rows, so the draws are the values of one (rows, m) draw;
-    a band solve never mixes rows, so the filtered tiles are the values of
-    one call on the whole chunk too. While this thread draws tile k + 1, a
-    helper thread that the stream owns filters tile k into the chunk. The
-    band solve holds the GIL and the draw does not, so the two overlap
-    only in part. At most one tile is in flight, every tile is done before
-    the chunk is yielded, and only this thread touches rng. Leaving the
-    stream, by a raise or by closing it, waits for a pending tile and ends
-    the helper.
+    chunk. A chunk keeps its columns among the sorted 0-based `cols` (all
+    by default), maybe none, with every draw and call made as for all. A
+    chunk of at most ROW_TILE rows is one draw and one call. A wider chunk
+    is drawn in tiles of ROW_TILE rows, each a block of consecutive rows,
+    so the draws are the values of one (rows, m) draw; a band solve never
+    mixes rows, so the filtered tiles are the values of one call on the
+    whole chunk too. While this thread draws tile k + 1, a helper thread
+    that the stream owns filters tile k and writes its kept columns into
+    the chunk: a wide chunk is (rows, kept), never (rows, m). The band
+    solve holds the GIL and the draw does not, so the two overlap only in
+    part. At most one tile is in flight, every tile is done before the
+    chunk is yielded, and only this thread touches rng. Leaving the stream,
+    by a raise or by closing it, waits for a pending tile and ends the helper.
     """
+    def kept(j0, m):     # the chunk's kept columns and their count
+        if cols is None:
+            return slice(None), m
+        take = cols[np.searchsorted(cols, j0) : np.searchsorted(cols, j0 + m)] - j0
+        return take, take.size
+
     if rows <= ROW_TILE:
         for j0, m in _chunks(n_max, chunk):
-            yield filt(rng.standard_normal((rows, m)), j0, slice(None))
+            yield filt(rng.standard_normal((rows, m)), j0, slice(None))[:, kept(j0, m)[0]]
         return
     with ThreadPoolExecutor(1, thread_name_prefix="potkernels-filter") as helper:
         for j0, m in _chunks(n_max, chunk):
-            out = np.empty((rows, m))
+            take, width = kept(j0, m)
+            out = np.empty((rows, width))
             pending = None
             for lo in range(0, rows, ROW_TILE):
                 tile = slice(lo, min(lo + ROW_TILE, rows))
                 g = rng.standard_normal((tile.stop - lo, m))
                 if pending is not None:
                     pending.result()
-                pending = helper.submit(_fill, out, tile, filt, g, j0)
+                pending = helper.submit(_fill, out, tile, filt, g, j0, take)
             pending.result()
             yield out
 
 
-def _stream_recurrence(c, scale, history, rng, rows, n_max, chunk, first_scale=1.0):
+def _stream_recurrence(c, scale, history, rng, rows, n_max, chunk, cols=None, first_scale=1.0):
     # y[j] = sum_i c[i-1, j] y[j-i] + scale[j] g[j] from the (rows, k) values
     # of history, with c (k, n_max) or (k, 1) and scale a scalar or per-index
     # array; the first innovation is scaled, and each chunk's last k values
@@ -170,7 +179,7 @@ def _stream_recurrence(c, scale, history, rng, rows, n_max, chunk, first_scale=1
         history[r] = np.concatenate((history[r], block[:, -k:]), axis=1)[:, -k:]
         return block
 
-    return _filtered_chunks(rng, rows, n_max, chunk, filt)
+    return _filtered_chunks(rng, rows, n_max, chunk, filt, cols)
 
 
 @dataclass(frozen=True)
@@ -291,7 +300,7 @@ class KernelSpec:
             doc[f.name] = _config_value(getattr(self, f.name))
         return doc
 
-    def path_stream(self, n_max, rng, rows, chunk):
+    def path_stream(self, n_max, rng, rows, chunk, cols=None):
         raise InputError("sample_gaussian needs a symmetric kernel family")
 
     def admissibility(self):
@@ -359,8 +368,8 @@ class _Derived(KernelSpec):
     def _window_precision(self, window):
         return self.base._window_precision(window)
 
-    def path_stream(self, n_max, rng, rows, chunk):
-        return self.base.path_stream(n_max, rng, rows, chunk)
+    def path_stream(self, n_max, rng, rows, chunk, cols=None):
+        return self.base.path_stream(n_max, rng, rows, chunk, cols)
 
     def prediction(self, f_class, alpha, **declared):
         return self.base.prediction(f_class, alpha, **declared)
@@ -383,9 +392,9 @@ class _FirstInnovationScaled(_Derived):
     def diagonal(self, n):
         return self.base.diagonal(n) + self._weight * self._response(n) ** 2
 
-    def path_stream(self, n_max, rng, rows, chunk):
+    def path_stream(self, n_max, rng, rows, chunk, cols=None):
         return self.base.path_stream(
-            n_max, rng, rows, chunk, first_scale=self._first_scale
+            n_max, rng, rows, chunk, cols, first_scale=self._first_scale
         )
 
 
@@ -521,14 +530,17 @@ def _stored(values, n, name):
     return values[:n]
 
 
-def _stream_min(s, b, rng, rows, n_max, chunk):
-    # independent increments of variance s[j] - s[j-1], divided by b if given
+def _stream_min(s, b, rng, rows, n_max, chunk, cols):
+    # independent increments of variance s[j] - s[j-1], divided by b at the
+    # kept columns if b is given: the blocks keep them in order
     inc = np.sqrt(np.diff(np.concatenate(([0.0], _stored(s, n_max, "s")))))
     stream = _stream_recurrence(
-        np.ones((1, 1)), inc, np.zeros((rows, 1)), rng, rows, n_max, chunk
+        np.ones((1, 1)), inc, np.zeros((rows, 1)), rng, rows, n_max, chunk, cols
     )
-    for j0, block in zip(range(0, n_max, chunk), stream):
-        yield block if b is None else block / b[j0 : j0 + block.shape[1]]
+    b, k = (b if b is None or cols is None else b[cols]), 0
+    for block in stream:
+        yield block if b is None else block / b[k : k + block.shape[1]]
+        k += block.shape[1]
 
 
 @_register
@@ -555,8 +567,8 @@ class MinKernel(_Chain):
     def diagonal(self, n):
         return _stored(self.s, n, "s").copy()
 
-    def path_stream(self, n_max, rng, rows, chunk):
-        return _stream_min(self.s, None, rng, rows, n_max, chunk)
+    def path_stream(self, n_max, rng, rows, chunk, cols=None):
+        return _stream_min(self.s, None, rng, rows, n_max, chunk, cols)
 
     def prediction(self, f_class, alpha, growth=None):
         s = self.s
@@ -596,8 +608,8 @@ class ScaledMinKernel(_Chain):
     def diagonal(self, n):
         return _stored(self.s, n, "s") / self.b[:n] ** 2
 
-    def path_stream(self, n_max, rng, rows, chunk):
-        return _stream_min(self.s, self.b[:n_max], rng, rows, n_max, chunk)
+    def path_stream(self, n_max, rng, rows, chunk, cols=None):
+        return _stream_min(self.s, self.b[:n_max], rng, rows, n_max, chunk, cols)
 
     def prediction(self, f_class, alpha, growth=None):
         s, b = self.s, self.b
@@ -646,7 +658,7 @@ class ExpKernel(_Chain):
     def diagonal(self, n):
         return np.ones_like(_stored(self.v, n, "v"))
 
-    def path_stream(self, n_max, rng, rows, chunk):
+    def path_stream(self, n_max, rng, rows, chunk, cols=None):
         v = _stored(self.v, n_max, "v")
         gaps = np.diff(v)
         gap = _steady(gaps, np.abs(v).max()) if gaps.size else np.inf
@@ -659,7 +671,7 @@ class ExpKernel(_Chain):
             a = np.exp(-np.concatenate(([0.0], gap)))
         yield from _stream_recurrence(
             np.reshape(a, (1, -1)), np.sqrt(1.0 - a * a), state[:, None],
-            rng, rows, n_max, chunk,
+            rng, rows, n_max, chunk, cols,
         )
 
     def prediction(self, f_class, alpha, growth=None, gaps=None):
@@ -712,11 +724,11 @@ class AR1(_Chain):
     def _chain(self, lo, hi):
         return _stored(self.x, hi - 1, "x")[None, lo - 1 :], np.ones(hi - lo)
 
-    def path_stream(self, n_max, rng, rows, chunk, first_scale=1.0):
+    def path_stream(self, n_max, rng, rows, chunk, cols=None, first_scale=1.0):
         # xi[1] = first_scale g[1], xi[n] = x[n-1] xi[n-1] + g[n]
         a = np.concatenate(([0.0], _stored(self.x, n_max - 1, "x")))
         yield from _stream_recurrence(
-            a[None], 1.0, np.zeros((rows, 1)), rng, rows, n_max, chunk, first_scale
+            a[None], 1.0, np.zeros((rows, 1)), rng, rows, n_max, chunk, cols, first_scale
         )
 
     def prediction(self, f_class, alpha, **declared):
@@ -813,11 +825,11 @@ class ARk(_Chain):
     def diagonal(self, n):
         return np.cumsum(phi_recursive(self.p, n).values ** 2)
 
-    def path_stream(self, n_max, rng, rows, chunk, first_scale=1.0):
+    def path_stream(self, n_max, rng, rows, chunk, cols=None, first_scale=1.0):
         # y[n] = sum p[l] y[n-l] + g[n] with empty history; y[1] scaled
         yield from _stream_recurrence(
             self.p[:, None], 1.0, np.zeros((rows, self.k)), rng, rows, n_max, chunk,
-            first_scale,
+            cols, first_scale,
         )
 
     def prediction(self, f_class, alpha, f_sqrt_small=False):
@@ -1028,7 +1040,7 @@ class KilledWalk(KernelSpec):
             max_diag_gap=float(np.abs(diag[interior] - u00).max()),
         )
 
-    def path_stream(self, n_max, rng, rows, chunk):
+    def path_stream(self, n_max, rng, rows, chunk, cols=None):
         # paths F^{-1} g, F^T F = beta I - G from the upper half of its band, one
         # chunk: covariance U exactly (Rue & Held, Gaussian Markov Random Fields, 2.4)
         size = self._require_sites(n_max)
@@ -1043,7 +1055,7 @@ class KilledWalk(KernelSpec):
                 return g
             return lapack.dtbtrs(factor, g.T, overwrite_b=1)[0].T
 
-        return _filtered_chunks(rng, rows, size, size, filt)
+        return _filtered_chunks(rng, rows, size, size, filt, cols)
 
     def prediction(self, f_class, alpha):
         if f_class != "zero":

@@ -16,11 +16,11 @@ trial owns a counter-based RNG stream split from the master seed, so trials
 are independent and insensitive to execution order, and identical
 configurations reproduce bitwise-identical reports.
 
-The Gamma-marginal KS harness draws its paths through the same streams; a
-wide batch is drawn in row tiles while a helper thread that the stream
-owns filters the tile before (`kernels._filtered_chunks`). Its KS supremum takes the Gamma CDF at
-knots every KS_KNOT_STRIDE sorted points and then only on the intervals
-between knots where the supremum can sit (`_ks_gamma`).
+The Gamma-marginal KS harness draws through the same streams and keeps only
+the indices it tests: a helper thread that the stream owns filters each row
+tile of a wide batch and writes just those columns (`kernels._filtered_chunks`).
+Its KS supremum takes the Gamma CDF at knots every KS_KNOT_STRIDE sorted
+points and then only between knots where the supremum can sit (`_ks_gamma`).
 """
 
 from dataclasses import dataclass
@@ -55,28 +55,25 @@ def _chunk_size(rows):
     return int(max(256, min(1 << 16, (1 << 22) // max(rows, 1))))
 
 
-def _path_stream(spec, n_max, rng, rows, chunk=None):
-    """Chunked zero-mean Gaussian paths with the kernel as covariance; the
-    one route of every sampler (`KernelSpec.path_stream` refuses the rest)."""
+def _path_stream(spec, n_max, rng, rows, chunk=None, cols=None):
+    """Chunked zero-mean Gaussian paths with the kernel as covariance, kept at
+    the sorted 0-based columns `cols` (all by default); the one route of every
+    sampler (`KernelSpec.path_stream` refuses the rest)."""
     spec.admissibility().require()
-    return spec.path_stream(n_max, rng, rows, chunk or _chunk_size(rows))
+    return spec.path_stream(n_max, rng, rows, chunk or _chunk_size(rows), cols)
 
 
 def _gaussian_paths(spec, n_max, rng, rows, cols=None):
-    """rows Gaussian paths of n_max steps, kept at the increasing 0-based
-    columns `cols` (all by default) as each chunk of the stream arrives."""
-    cols = np.arange(n_max) if cols is None else np.asarray(cols)
-    if rows * cols.size * 8 > np.iinfo(np.intp).max:     # numpy's largest array
-        raise InputError(f"{rows} rows x {cols.size} columns of paths exceed one array")
-    # a contiguous run is sliced: fancy indexing would copy the block
-    run = cols.size and cols[-1] - cols[0] == cols.size - 1
-    kept = np.empty((rows, cols.size))
-    j0 = 0
-    for block in _path_stream(spec, n_max, rng, rows):
-        lo, hi = np.searchsorted(cols, (j0, j0 + block.shape[1]))
-        take = slice(cols[0] + lo - j0, cols[0] + hi - j0) if run else cols[lo:hi] - j0
-        kept[:, lo:hi] = block[:, take]
-        j0 += block.shape[1]
+    """rows Gaussian paths of n_max steps at the sorted 0-based columns `cols`
+    (all by default), which the stream alone keeps (`kernels._filtered_chunks`)."""
+    width = n_max if cols is None else cols.size
+    if rows * width * 8 > np.iinfo(np.intp).max:     # numpy's largest array
+        raise InputError(f"{rows} rows x {width} columns of paths exceed one array")
+    kept = np.empty((rows, width))
+    j = 0
+    for block in _path_stream(spec, n_max, rng, rows, cols=cols):
+        kept[:, j : j + block.shape[1]] = block
+        j += block.shape[1]
     return kept
 
 

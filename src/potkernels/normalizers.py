@@ -42,20 +42,18 @@ HYPOTHESES = {
 
 
 def _log_sequence(s, log_s):
+    # strictness is checked on what is given: the logs of a strictly
+    # increasing s may tie where s steps by less than an ulp of its log
     if (s is None) == (log_s is None):
         raise InputError("pass exactly one of s and log_s")
-    if log_s is not None:
-        logs = np.asarray(log_s, dtype=float)
-    else:
-        s = np.asarray(s, dtype=float)
-        if np.any(s <= 0):
-            raise InputError("s must be positive")
-        logs = np.log(s)
-    if logs.ndim != 1 or logs.size < 2:
+    given = np.asarray(s if log_s is None else log_s, dtype=float)
+    if log_s is None and np.any(given <= 0):
+        raise InputError("s must be positive")
+    if given.ndim != 1 or given.size < 2:
         raise InputError("need at least two stored terms")
-    if np.any(np.diff(logs) <= 0):
+    if np.any(np.diff(given) <= 0):
         raise InputError("s must be strictly increasing")
-    return logs
+    return given if log_s is not None else np.log(given)
 
 
 def koval(s=None, j=None, M=1.0, *, log_s=None):
@@ -66,7 +64,10 @@ def koval(s=None, j=None, M=1.0, *, log_s=None):
     """
     if M <= 0:
         raise InputError("cap M must be positive")
-    logs = _log_sequence(s, log_s)
+    return _koval(_log_sequence(s, log_s), j, M)
+
+
+def _koval(logs, j, M=1.0):      # K_s(j) on checked logs, which may tie
     jj = np.asarray(j)
     if jj.size == 0 or np.any(jj < 2):
         raise InputError("j must be >= 2")
@@ -109,7 +110,7 @@ def regime(s=None, probe_range=None, *, log_s=None):
     probes = np.unique(np.linspace(lo, hi, 64).astype(int))
 
     ratios = np.diff(logs)[lo - 1 : hi - 1]
-    kval = koval(log_s=logs, j=probes)
+    kval = _koval(logs, probes)
 
     # the telescoped sum picks up -log s[0] when s starts below 1
     slack = CEILING_SLACK + max(0.0, -float(logs[0]))
@@ -132,10 +133,10 @@ def regime(s=None, probe_range=None, *, log_s=None):
 
     k_lo, k_hi = kappa(lo), kappa(hi)
     # ratios above the margin but decaying on a log-log scale (such as
-    # 1/log j) are heading below any margin eventually; refuse log-j there
-    trend = float(
-        np.polyfit(np.log(np.arange(lo, hi)), np.log(ratios), 1)[0]
-    )
+    # 1/log j) are heading below any margin eventually; refuse log-j there.
+    # A tied pair of logs has ratio 0, no log and no trend (NaN), and no log-j
+    logj = np.log(np.arange(lo, hi))
+    trend = float(np.polyfit(logj, np.log(ratios), 1)[0]) if ratios.min() > 0 else np.nan
     if ratios.min() >= GEOMETRIC_MARGIN and trend >= RATIO_TREND_FLOOR:
         cls = "log-j"
     elif np.isfinite(k_lo) and np.isfinite(k_hi) and k_hi < k_lo - 1e-12:
@@ -222,7 +223,7 @@ def _predict_min_like(logs, diag, diag_label, family, f_class, growth):
             f"{family} kernels need f = 0 or f built from a summable density"
         )
     if growth is None:
-        expr, label, tag = lambda jj: koval(log_s=logs, j=jj), "K_s(j)", "growth"
+        expr, label, tag = lambda jj: _koval(logs, jj), "K_s(j)", "growth"
     elif growth == "geometric":
         expr, label, tag = np.log, "log(j)", "geometric"
     elif growth == "bounded-ratio":

@@ -45,7 +45,7 @@ from potkernels import (
     verify_duality,
     window_inverse,
 )
-from potkernels import kernels
+from potkernels import kernels, mcsim
 from potkernels.argen import linear_recurrence
 
 from conftest import random_density, random_increasing_s
@@ -327,8 +327,10 @@ class TestLinearRecurrence:
         np.testing.assert_allclose(got, ref, rtol=0, atol=bound)
 
 
-def stream_untiled(c, scale, history, rng, rows, n_max, chunk, first_scale=1.0):
+def stream_untiled(c, scale, history, rng, rows, n_max, chunk, cols=None,
+                   first_scale=1.0):
     """Reference route: one (rows, m) draw and one `linear_recurrence` per chunk."""
+    assert cols is None              # the reference keeps every column
     k = len(c)
     c = np.broadcast_to(c, (k, n_max))
     for j0, m in kernels._chunks(n_max, chunk):
@@ -477,6 +479,41 @@ class TestTiledStreams:
             sys.setswitchinterval(interval)
         for case, got in results:
             assert_stream_equal(got, refs[case])
+
+
+# 0-based columns of the 20 steps that chunks of 7 split at 7 and 14
+KEPT_COLUMNS = {
+    "sparse": [1, 2, 16],          # the middle chunk keeps no column
+    "run": list(range(5, 16)),     # a contiguous run across both chunk edges
+    "one-per-chunk": [3, 9, 19],
+}
+KEPT_STREAMED = {
+    **STREAMED,
+    "killed_walk": KilledWalk(step_rates={-1: 0.5, 1: 0.5, -3: 0.1, 3: 0.1},
+                              beta=0.3, radius=(STREAM_N - 1) // 2),
+}
+
+
+class TestKeptColumns:
+    @pytest.mark.parametrize("tile", [2, 3])
+    @pytest.mark.parametrize("kept", sorted(KEPT_COLUMNS))
+    @pytest.mark.parametrize("family", sorted(KEPT_STREAMED))
+    def test_kept_columns_are_the_full_streams_columns(self, family, kept, tile,
+                                                       monkeypatch):
+        # rows above the tile width take the helper thread's wide branch
+        spec = KEPT_STREAMED[family]
+        n = STREAM_N - (family == "killed_walk")     # the walk's 2R + 1 sites
+        cols = np.array([c for c in KEPT_COLUMNS[kept] if c < n])
+        monkeypatch.setattr(kernels, "ROW_TILE", tile)
+        monkeypatch.setattr(mcsim, "_chunk_size", lambda rows: STREAM_CHUNK)
+        for rows in (1, tile + 1, 3 * tile + 2):
+            full_rng, kept_rng = CallerThreadRng(5), CallerThreadRng(5)
+            full = mcsim._gaussian_paths(spec, n, full_rng, rows)
+            got = mcsim._gaussian_paths(spec, n, kept_rng, rows, cols)
+            assert got.shape == (rows, cols.size)
+            assert np.array_equal(got, full[:, cols])
+            # the kept stream makes the same draws, so the stream after it is the same
+            assert np.array_equal(kept_rng.standard_normal(4), full_rng.standard_normal(4))
 
 
 class IdentityRng:

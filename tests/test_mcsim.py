@@ -1,5 +1,6 @@
 """Seeded samplers, marginal tests, trend experiments, and subsequences."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -258,6 +259,19 @@ class TestGammaMarginals:
         spec = ExpKernel(v=np.arange(10.0))
         with pytest.raises(ValueError):
             gamma_marginal_test(spec, None, 0.7, [2], 1000, seed=1)
+
+    def test_memory_is_bounded_by_the_kept_columns(self):
+        # 3 x 10^5 rows: the kept (rows, 3) block is 6.9 MiB, where the
+        # filtered (rows, 30) block that it is read from would be 69 MiB
+        spec = ExpKernel(v=np.arange(40.0))
+        tracemalloc.start()
+        try:
+            rep = gamma_marginal_test(spec, None, 1.5, [2, 10, 30], 100_000, seed=21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rep.records) == 3
+        assert peak < 40 << 20
 
     @pytest.mark.parametrize("m_samples", [0, -5])
     def test_rejects_empty_sample(self, m_samples):

@@ -1,5 +1,7 @@
 """Koval normalizers, growth regimes, and limit-theorem dispatch."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,50 @@ class TestRegime:
         assert rep.kappa_end == pytest.approx(1.0)
         assert rep.min_ratio <= rep.max_ratio
         assert len(rep.probes) > 1
+
+
+# strictly increasing, but the logs of the two middle terms round to one value
+TIED_LOG_S = np.array([1.0, 2.0, 1e10, np.nextafter(1e10, np.inf), 2e10])
+
+
+class TestTiedLogs:
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_koval_reads_a_valid_s_whose_logs_tie(self):
+        assert np.log(TIED_LOG_S[2]) == np.log(TIED_LOG_S[3])
+        got = koval(s=TIED_LOG_S, j=np.array([2, 4, 5]))
+        # capped log ratios log 2, 1, 0, log 2
+        want = np.log([np.log(2.0), 1.0 + np.log(2.0), 1.0 + 2.0 * np.log(2.0)])
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        np.testing.assert_allclose(got, [-0.3665, 0.5266, 0.8697], atol=1e-4)
+
+    def test_regime_reads_a_zero_ratio_as_no_geometric_growth(self):
+        rep = regime(s=TIED_LOG_S, probe_range=(2, 5))
+        assert rep.min_ratio == 0.0
+        assert np.isnan(rep.ratio_trend)
+        assert rep.classification != "log-j"
+
+    def test_default_growth_prediction_reads_the_tie(self):
+        pred = predict(MinKernel(s=TIED_LOG_S), "zero", 0.5)
+        jj = np.array([2, 4, 5])
+        np.testing.assert_allclose(
+            pred.normalizer(jj), TIED_LOG_S[jj - 1] * koval(s=TIED_LOG_S, j=jj), rtol=0
+        )
+
+    @pytest.mark.parametrize("log_s", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
+    def test_given_logs_must_still_increase_strictly(self, log_s):
+        with pytest.raises(InputError, match="strictly increasing"):
+            koval(log_s=log_s, j=2)
+        with pytest.raises(InputError, match="strictly increasing"):
+            regime(log_s=log_s)
+
+    def test_s_must_still_increase_strictly(self):
+        with pytest.raises(InputError, match="strictly increasing"):
+            koval(s=[1.0, 2.0, 2.0, 3.0], j=2)
 
 
 class TestPredictMinFamilies:
