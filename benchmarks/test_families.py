@@ -15,6 +15,8 @@ of its precision and one triangular band solve per row tile.
 `test_killed_walk_stream_1e6` times a 3-row `sample_gaussian` over the
 999,999 sites of a killed walk with radius 499,999, whose band is written
 straight from the rates.
+`test_ark_window_entries` times the dense ARk window from l = 10 at n = 60
+to 400, the range of the window sizes in `perfbench`'s `window-analytic`.
 
 The directory sits outside `testpaths`, so the test suite does not collect
 it. Run it from a source checkout:
@@ -35,6 +37,7 @@ from potkernels import (
     MinKernel,
     ScaledMinKernel,
     ShiftedScaled,
+    Window,
     kernel_diagonal,
     sample_gaussian,
 )
@@ -87,3 +90,10 @@ def test_killed_walk_stream_1e6(benchmark):
     spec = KilledWalk(step_rates={-1: 0.5, 1: 0.5}, beta=1.0, radius=499_999)
     batch = benchmark(sample_gaussian, spec, 999_999, 7, ROWS)
     assert batch.values.shape == (ROWS, 999_999)
+
+
+@pytest.mark.parametrize("n", [60, 120, 250, 400])
+def test_ark_window_entries(benchmark, n):
+    spec, window = ARk(p=(0.5, 0.25)), Window(10, n)
+    entries = benchmark(spec.window_entries, window)
+    assert entries.shape == (n, n)

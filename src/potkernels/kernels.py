@@ -81,6 +81,8 @@ CONSTANT_ULPS = 4
 
 # rows of innovations drawn at a time by a path stream wider than this
 ROW_TILE = 4096
+# indices summed per block of an ARk window's running sums, to bound their memory
+_LAG_ROWS = 1024
 
 
 def _as_float_array(values, name):
@@ -798,16 +800,16 @@ class ARk(_Chain):
     p_non_increasing = property(lambda self: bool(np.all(np.diff(self.p) <= 0)))
 
     def window_entries(self, window):
-        hi = window.l + window.n
-        ph = phi_recursive(self.p, hi).values
-        # V[m,n] = sum_{t=1..min(m,n)} phi[t] phi[t+|m-n|]; a cumsum per lag
-        out = np.empty((window.n, window.n))
-        for dlag in range(window.n):
-            csum = np.cumsum(ph[: hi - dlag] * ph[dlag:hi])
-            idx = np.arange(window.n - dlag)
-            out[idx, idx + dlag] = csum[window.l + idx]
-            out[idx + dlag, idx] = csum[window.l + idx]
-        return out
+        l, n = window.l, window.n
+        ph = phi_recursive(self.p, l + n).values
+        # V[i, i+d] = sum_{t <= l+i} phi[t] phi[t+d], summed down t in order for all d
+        lagged = np.lib.stride_tricks.sliding_window_view(np.concatenate((ph, np.zeros(n - 1))), n)
+        g, edges = np.zeros((1, n)), [*range(0, l, _LAG_ROWS), l, l + n]
+        for t0, t1 in zip(edges, edges[1:]):
+            g = np.cumsum(np.concatenate((g[-1:], ph[t0:t1, None] * lagged[t0:t1])), axis=0)[1:]
+        # reread g padded by one column n to a row: cell (i, i+d) is then g[i, d]
+        upper = np.pad(g, ((0, 0), (0, 1))).reshape(-1)[: n * n].reshape(n, n)
+        return np.where(np.tri(n, dtype=bool), upper.T, upper)
 
     def generator(self, size):
         if not self.p_non_increasing:

@@ -73,8 +73,10 @@ def _koval(logs, j, M=1.0):      # K_s(j) on checked logs, which may tie
         raise InputError("j must be >= 2")
     if np.any(jj > logs.size):
         raise InputError("j beyond stored sequence length")
-    capped = np.cumsum(np.minimum(M, np.diff(logs)))
-    out = np.log(capped[jj - 2])
+    capped = np.cumsum(np.minimum(M, np.diff(logs)))[jj - 2]
+    if np.any(capped == 0):
+        raise InputError(f"K_s(j) = log 0: the logs of s tie up to j = {jj[capped == 0].tolist()}")
+    out = np.log(capped)
     return float(out) if np.isscalar(j) else out
 
 

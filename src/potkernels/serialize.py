@@ -3,8 +3,9 @@
 Sorted keys, full-precision floats, no timestamps: identical inputs give
 byte-identical files, so seeded runs can be diffed. A float is written as
 the repr of a Python float, the shortest string that reads back to the same
-value. CSV rows are formatted from `tolist()` values a block of rows at a
-time, so a writer's memory is set by the block, not by the table.
+value; a +0.0 matrix cell, most of a banded window, gets the same bytes from
+its column's precomputed text. CSV rows are formatted from `tolist()` values
+a block of rows at a time, so a writer's memory is set by the block.
 """
 
 import json
@@ -37,22 +38,37 @@ def write_table_csv(path, header, columns):
     convert one by one: stacked, integer labels would turn into floats.
     """
     columns = [np.asarray(c) for c in columns]
+    if len(header) != len(columns) or len({*map(len, columns)}) != 1:
+        raise ValueError(f"{len(header)} names for columns of lengths {[*map(len, columns)]}")
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for i0 in range(0, min(map(len, columns)), _BLOCK_ROWS):
+        for i0 in range(0, len(columns[0]), _BLOCK_ROWS):
             cells = [map(str, c[i0 : i0 + _BLOCK_ROWS].tolist()) for c in columns]
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_matrix_csv(path, entries, row_labels, col_labels, header):
     """Entries as (row label, column label, value) rows, one matrix row at a time."""
-    entries = np.asarray(entries, dtype=float)
+    entries, row_labels = np.asarray(entries, dtype=float), np.asarray(row_labels)
+    if entries.shape != (row_labels.size, len(col_labels)):
+        raise ValueError(f"{entries.shape} entries, {row_labels.size} x {len(col_labels)} labels")
     cols = [f"{int(j)}," for j in col_labels]
+    zero_cells = [f"{j}0.0" for j in cols]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for i, row in zip(row_labels, entries):
-            pre = f"{int(i)},"
-            fh.write("".join([f"{pre}{j}{v!r}\n" for j, v in zip(cols, row.tolist())]))
+        for i0 in range(0, len(entries), _BLOCK_ROWS):
+            block = entries[i0 : i0 + _BLOCK_ROWS]
+            zero = block.view(np.int64) == 0    # +0.0, and not -0.0, has no bit set
+            sparse = zero.any(axis=1).tolist()
+            for r, (i, row) in enumerate(zip(row_labels[i0 : i0 + _BLOCK_ROWS].tolist(), block)):
+                pre = f"{int(i)},"
+                if not sparse[r]:
+                    fh.write("".join([f"{pre}{j}{v!r}\n" for j, v in zip(cols, row.tolist())]))
+                    continue
+                cells = zero_cells.copy()
+                for c in np.flatnonzero(~zero[r]).tolist():
+                    cells[c] = f"{cols[c]}{float(row[c])!r}"
+                fh.write(pre + ("\n" + pre).join(cells) + "\n")
 
 
 def write_sequence_csv(path, labels, values, value_name="value"):

@@ -687,6 +687,53 @@ class TestARkGen:
         )
 
 
+def ark_window_per_lag(p, window):
+    """The ARk window as it was built before: one cumsum and two writes per lag."""
+    hi = window.l + window.n
+    ph = phi_recursive(p, hi).values
+    out = np.empty((window.n, window.n))
+    for dlag in range(window.n):
+        csum = np.cumsum(ph[: hi - dlag] * ph[dlag:hi])
+        idx = np.arange(window.n - dlag)
+        out[idx, idx + dlag] = csum[window.l + idx]
+        out[idx + dlag, idx] = csum[window.l + idx]
+    return out
+
+
+@st.composite
+def ark_weights(draw):
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4)))
+    total = draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+    return w * (total / w.sum())
+
+
+class TestARkWindowEntries:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=ark_weights(),
+        l=st.integers(0, 30),
+        n=st.integers(1, 300),
+        a_sq=st.floats(0.1, 2.0),
+    )
+    @example(p=np.array([0.5, 0.5]), l=0, n=1, a_sq=0.5)
+    @example(p=np.array([0.25] * 4), l=30, n=3, a_sq=1.0)
+    @example(p=np.array([0.1, 0.2, 0.3]), l=2, n=300, a_sq=0.3)
+    def test_matches_the_per_lag_loop_bit_for_bit(self, p, l, n, a_sq):
+        window = Window(l, n)
+        want = ark_window_per_lag(p, window)
+        assert np.array_equal(ARk(p=p).window_entries(window), want)
+        gen = ARkGen(p=p, a_sq=a_sq)
+        t = gen._response(l + n)[l:]
+        assert np.array_equal(gen.window_entries(window), want + gen._weight * np.outer(t, t))
+
+    @pytest.mark.parametrize(
+        "l", [kernels._LAG_ROWS - 1, kernels._LAG_ROWS, 2 * kernels._LAG_ROWS + 5]
+    )
+    def test_running_sums_carry_across_blocks(self, l):
+        p, window = np.array([0.6, 0.3, 0.1]), Window(l, 40)
+        assert np.array_equal(ARk(p=p).window_entries(window), ark_window_per_lag(p, window))
+
+
 class TestRankOneUpdate:
     def test_sherman_morrison_matches_dense(self):
         base = ExpKernel(v=np.log(2.0) * np.arange(6))

@@ -109,6 +109,16 @@ class TestTiedLogs:
             pred.normalizer(jj), TIED_LOG_S[jj - 1] * koval(s=TIED_LOG_S, j=jj), rtol=0
         )
 
+    def test_a_tie_at_the_start_is_refused_by_its_index(self):
+        s = TIED_LOG_S[2:]          # the capped sum up to j = 2 is 0
+        for j in (2, [2, 3], np.array([3, 2])):
+            with pytest.raises(InputError, match=r"j = \[2\]"):
+                koval(s=s, j=j)
+        with pytest.raises(InputError, match=r"j = \[2\]"):
+            predict(MinKernel(s=s), "zero", 0.5).normalizer(2)
+        assert koval(s=s, j=3) == pytest.approx(np.log(np.log(2.0)), rel=1e-12)
+        assert np.isfinite(predict(MinKernel(s=s), "zero", 0.5).normalizer(3))
+
     @pytest.mark.parametrize("log_s", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
     def test_given_logs_must_still_increase_strictly(self, log_s):
         with pytest.raises(InputError, match="strictly increasing"):

@@ -5,10 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from potkernels.serialize import (
+    _BLOCK_ROWS,
     _plain,
     write_json,
     write_matrix_csv,
@@ -116,6 +117,67 @@ def test_matrix_matches_reference_on_any_floats(tmp_path_factory, values, width)
     path = tmp_path_factory.mktemp("m")
     got = written(path, write_matrix_csv, entries, rows, cols, header)
     assert got == ref_matrix(entries, rows, cols, header)
+
+
+# sparse rows: mostly +0.0, the cell written from precomputed text, beside
+# the values whose text must still come from repr
+SPARSE_CELLS = st.one_of(
+    st.sampled_from([0.0] * 6 + [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16]),
+    st.floats(),
+)
+DENSE_CELLS = st.floats().filter(lambda v: v != 0.0 or np.signbit(v))
+ROW_COUNTS = st.one_of(
+    st.integers(1, 30),
+    st.sampled_from([_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]),
+)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A few all-zero, sparse and dense rows, repeated to the drawn row count."""
+    width = draw(st.integers(1, 7))
+    cells = {"zero": st.just(0.0), "sparse": SPARSE_CELLS, "dense": DENSE_CELLS}
+    pattern = [
+        draw(st.lists(cells[kind], min_size=width, max_size=width))
+        for kind in draw(st.lists(st.sampled_from(sorted(cells)), min_size=1, max_size=6))
+    ]
+    return np.resize(np.array(pattern), (draw(ROW_COUNTS), width))
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=sparse_matrices())
+@example(entries=np.zeros((_BLOCK_ROWS + 1, 1)))
+@example(entries=np.array([[0.0], [-0.0], [np.nan], [5e-324], [0.0]]))
+@example(entries=np.array([[0.0, -0.0, np.inf, 0.0, 1e16, -np.inf, 0.0]]))
+def test_matrix_matches_reference_on_sparse_rows(tmp_path_factory, entries):
+    count, width = entries.shape
+    rows, cols = 3 * np.arange(count) + 2, np.arange(5, 5 + width)
+    header = ("i", "j", "value")
+    path = tmp_path_factory.mktemp("m")
+    got = written(path, write_matrix_csv, entries, rows, cols, header)
+    assert got == ref_matrix(entries, rows, cols, header)
+
+
+def test_matrix_refuses_labels_that_do_not_fit(tmp_path):
+    entries, header = np.ones((3, 2)), ("i", "j", "value")
+    for rows, cols in [(range(2), range(2)), (range(4), range(2)), (range(3), range(1))]:
+        with pytest.raises(ValueError, match="entries, "):
+            write_matrix_csv(tmp_path / "m.csv", entries, rows, cols, header)
+    with pytest.raises(ValueError, match="entries, "):
+        write_matrix_csv(tmp_path / "m.csv", np.ones(3), range(3), range(1), header)
+
+
+def test_table_refuses_columns_that_do_not_fit(tmp_path):
+    bad = [
+        (("a", "b"), (np.arange(3), np.arange(4.0))),
+        (("a", "b"), (np.arange(4), np.arange(3.0))),
+        (("a",), (np.arange(3), np.arange(3.0))),
+        (("a", "b", "c"), (np.arange(3), np.arange(3.0))),
+        ((), ()),
+    ]
+    for header, columns in bad:
+        with pytest.raises(ValueError, match="lengths"):
+            write_table_csv(tmp_path / "t.csv", header, columns)
 
 
 def test_json_numpy_scalars_and_arrays(tmp_path):
