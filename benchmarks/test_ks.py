@@ -3,15 +3,18 @@
 `test_gamma_marginal` times `gamma_marginal_test` at 10^5 samples on the
 criterion-8 inputs of the `sample-ks` workload: exp with unit gaps and AR1
 with x = 1/2 at n = 40, indices 2, 10 and 30, alpha 1/2 and 3/2 (10^5 and
-3 x 10^5 Gaussian rows of 30 steps). Its cost is the normal draws, the
-filter and the KS supremum per index. `test_stream` times the bare stream
+3 x 10^5 Gaussian rows). Both families are order-1 chains, so each row
+draws only its 3 tested values, as the Markov chain that they form
+(`_Chain._kept_chain`). Its cost is those normal draws, one band solve of 3
+steps per row tile, and the KS supremum per index. `test_stream` times the bare stream
 at the larger size, 3 x 10^5 rows of 30 steps of the exp recurrence, drawn
 and filtered with nothing after it, keeping all 30 columns (`all`) or the
 three that the KS harness reads (`ks`). Both tests also run the call once
 under `tracemalloc`, apart from the timed calls, and write its peak in MiB
 to `extra_info["tracemalloc_peak_mib"]`: a wide stream holds one (rows,
 kept) block per chunk, so the peak follows the kept columns, not the 30
-steps. `test_window_inverse` times
+steps. `test_stream` is the family's full stream, which the KS harness
+still reads for the families that are not order-1 chains. `test_window_inverse` times
 `window_inverse` on min, exp, AR1, ARk and ARkGen windows from l = 1 at
 n = 400 and 2000: building the window and the closed chain precision of
 each, with its condition estimate and residual check, the same for all

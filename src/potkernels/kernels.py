@@ -15,6 +15,9 @@ functions call after checking `admissibility()`:
   default): the chain's recurrence as one unit band solve per chunk
   (`argen.linear_recurrence`), the killed walk's solve with the band Cholesky
   factor of its precision, and the base's refusal for rank-one updates;
+- `_kept_chain(cols)`: for min, exp, AR1 and AR1Shifted, the values at the
+  sorted 0-based `cols` as a Markov chain of their own, which the KS harness
+  draws alone (`mcsim._path_stream`); None for every other family;
 - `admissibility()`: the family's `AdmissibilityDecision`;
 - `hypotheses` and `prediction(f_class, alpha, **declared)`: the limit
   hypotheses, names from `normalizers.HYPOTHESES`, that `normalizers.predict`
@@ -281,6 +284,7 @@ class KernelSpec:
 
     family = None
     hypotheses = ()
+    _kept_chain = None      # an order-1 chain's kept values as their own chain
 
     def __eq__(self, other):
         if not isinstance(other, KernelSpec):
@@ -524,6 +528,27 @@ class _Chain(KernelSpec):
             raise IdentityError("window-inverse-identity", f"singular window head: {exc}")
         return _chain_precision(*self._chain(l + k, l + window.n), head)
 
+    def _kept_chain(self, cols):
+        """(A, sqrt V): the order-1 chain's values at the sorted 0-based
+        `cols` as a chain of their own, y[c_0] = sqrt(U[c_0, c_0]) g and
+        y[c_{i+1}] = A[i+1] y[c_i] + sqrt(V[i+1]) g, with A[0] = 0.
+
+        From `_chain(1, n)` and `diagonal(n)`: across a gap, A is the product
+        of the chain's coefficients and V the sum of the innovation variances
+        carried to its end, terms that are never negative; both restart at
+        each kept column, one `linear_recurrence` each.
+        """
+        n = int(cols[-1]) + 1
+        a, w = self._chain(1, n)             # steps j = 1 .. n - 1 at j - 1
+        restart = np.zeros(n - 1, dtype=bool)
+        restart[cols[:-1]] = True            # the step after a kept column
+        carry = np.where(restart, 0.0, a[0])[None]
+        prod = linear_recurrence(carry, np.where(restart, a[0], 0.0), 0.0)
+        var = linear_recurrence(carry**2, 1.0 / w, 0.0)
+        ends = cols[1:] - 1
+        A = np.concatenate(([0.0], prod[ends]))
+        return A, np.sqrt(np.concatenate((self.diagonal(n)[cols[:1]], var[ends])))
+
 
 def _stored(values, n, name):
     """The first n stored values; a longer request is refused, not truncated."""
@@ -601,6 +626,8 @@ class ScaledMinKernel(_Chain):
     def window_entries(self, window):
         b = self.b[window.l : window.l + window.n]
         return _min_entries(self.s, window) / np.outer(b, b)
+
+    _kept_chain = None       # no `_chain`: kept values come from the full stream
 
     def _window_precision(self, window):
         # the min chain of s divided by b: its precision times b b^T
@@ -798,6 +825,7 @@ class ARk(_Chain):
 
     k = _order = property(lambda self: self.p.size)
     p_non_increasing = property(lambda self: bool(np.all(np.diff(self.p) <= 0)))
+    _kept_chain = None       # order k: kept values come from the full stream
 
     def window_entries(self, window):
         l, n = window.l, window.n
@@ -859,7 +887,7 @@ class ARkGen(_Chain, _FirstInnovationScaled):
 
     _first_scale = property(lambda self: 1.0 / np.sqrt(self.a_sq))
     _weight = property(lambda self: (1.0 - self.a_sq) / self.a_sq)
-    _order = ARk._order
+    _order, _kept_chain = ARk._order, ARk._kept_chain
     p_non_increasing = ARk.p_non_increasing
     generator = ARk.generator
 

@@ -16,11 +16,14 @@ trial owns a counter-based RNG stream split from the master seed, so trials
 are independent and insensitive to execution order, and identical
 configurations reproduce bitwise-identical reports.
 
-The Gamma-marginal KS harness draws through the same streams and keeps only
-the indices it tests: a helper thread that the stream owns filters each row
-tile of a wide batch and writes just those columns (`kernels._filtered_chunks`).
-Its KS supremum takes the Gamma CDF at knots every KS_KNOT_STRIDE sorted
-points and then only between knots where the supremum can sit (`_ks_gamma`).
+The Gamma-marginal KS harness draws only the indices it tests. For min, exp,
+AR1 and AR1Shifted, whose values at any increasing indices are again a
+Gaussian Markov chain, that chain is drawn alone (`_Chain._kept_chain`), one
+(rows, kept) draw in row tiles; every other family draws its full stream, and
+a helper thread that the stream owns filters each row tile of a wide batch
+and writes just the tested columns (`kernels._filtered_chunks`). Its KS
+supremum takes the Gamma CDF at knots every KS_KNOT_STRIDE sorted points and
+then only between knots where the supremum can sit (`_ks_gamma`).
 """
 
 from dataclasses import dataclass
@@ -30,7 +33,7 @@ from scipy.special import betainc, betaincinv, gammainc, gammaincc, gammaln
 
 from .excessive import PotentialFunction
 from .identities import IdentityError, InputError
-from .kernels import ExpKernel, Window, build_kernel
+from .kernels import ExpKernel, Window, _stream_recurrence, build_kernel
 from .normalizers import koval
 from .symmetrize import _as_values, analyze, extend, sandwich_factor
 
@@ -55,23 +58,30 @@ def _chunk_size(rows):
     return int(max(256, min(1 << 16, (1 << 22) // max(rows, 1))))
 
 
-def _path_stream(spec, n_max, rng, rows, chunk=None, cols=None):
+def _path_stream(spec, n_max, rng, rows, chunk=None, cols=None, thin=False):
     """Chunked zero-mean Gaussian paths with the kernel as covariance, kept at
     the sorted 0-based columns `cols` (all by default); the one route of every
-    sampler (`KernelSpec.path_stream` refuses the rest)."""
+    sampler (`KernelSpec.path_stream` refuses the rest). With `thin` and
+    `cols`, an order-1 chain draws only its values at `cols`, as the chain
+    that they form (`_Chain._kept_chain`): other draws with the same law."""
     spec.admissibility().require()
-    return spec.path_stream(n_max, rng, rows, chunk or _chunk_size(rows), cols)
+    chunk = chunk or _chunk_size(rows)
+    if not thin or spec._kept_chain is None:
+        return spec.path_stream(n_max, rng, rows, chunk, cols)
+    A, sd = spec._kept_chain(cols)
+    return _stream_recurrence(A[None], sd, np.zeros((rows, 1)), rng, rows, cols.size, chunk)
 
 
-def _gaussian_paths(spec, n_max, rng, rows, cols=None):
+def _gaussian_paths(spec, n_max, rng, rows, cols=None, thin=False):
     """rows Gaussian paths of n_max steps at the sorted 0-based columns `cols`
-    (all by default), which the stream alone keeps (`kernels._filtered_chunks`)."""
+    (all by default), which the stream alone keeps (`kernels._filtered_chunks`),
+    or draws alone with `thin` (`_path_stream`)."""
     width = n_max if cols is None else cols.size
     if rows * width * 8 > np.iinfo(np.intp).max:     # numpy's largest array
         raise InputError(f"{rows} rows x {width} columns of paths exceed one array")
     kept = np.empty((rows, width))
     j = 0
-    for block in _path_stream(spec, n_max, rng, rows, cols=cols):
+    for block in _path_stream(spec, n_max, rng, rows, cols=cols, thin=thin):
         kept[:, j : j + block.shape[1]] = block
         j += block.shape[1]
     return kept
@@ -133,12 +143,13 @@ def _f_values(f, l, n):
     return _as_values(arr[l : l + n].astype(float), n)
 
 
-def _replica_draws(spec, n_max, cols, seed, count, k_half, a):
+def _replica_draws(spec, n_max, cols, seed, count, k_half, a, thin=False):
     """count permanental draws at the 0-based columns cols: k_half Gaussian
-    replicas per draw, each shifted by a xi (a given at cols), then squared
-    and halved, all from the RNG stream (seed, 0)."""
+    replicas per draw (`_gaussian_paths`, with `thin`), each shifted by a xi
+    (a given at cols), then squared and halved, all from the RNG stream
+    (seed, 0)."""
     rng = _trial_rng(seed, 0)
-    paths = _gaussian_paths(spec, n_max, rng, count * k_half, cols)
+    paths = _gaussian_paths(spec, n_max, rng, count * k_half, cols, thin)
     xi = rng.standard_normal((count, k_half))
     shifted = paths.reshape(count, k_half, cols.size) + a[None, None, :] * xi[:, :, None]
     return (shifted**2).sum(axis=1) / 2.0
@@ -246,9 +257,12 @@ def gamma_marginal_test(spec, f, alpha, indices, m_samples, seed):
 
     The rank-one representative U + sqrt(f) sqrt(f)^T is sampled because its
     diagonal matches U[j,j] + f[j] exactly, which is all the marginal law
-    depends on. Pass/fail per index at the asymptotic 5% level. The
-    statistic is the full KS supremum, evaluated from knots and the live
-    intervals between them (`_ks_gamma`).
+    depends on. For min, exp, AR1 and AR1Shifted only the tested values are
+    drawn, as the Markov chain that they form (`_Chain._kept_chain`); every
+    other family keeps them from its full stream. Then xi, as for
+    `sample_permanental`, all from the RNG stream (seed, 0). Pass/fail per
+    index at the asymptotic 5% level. The statistic is the full KS supremum,
+    evaluated from knots and the live intervals between them (`_ks_gamma`).
     """
     k_half = _k_half(alpha)
     idx = np.unique(np.asarray(indices, dtype=int))
@@ -259,7 +273,9 @@ def gamma_marginal_test(spec, f, alpha, indices, m_samples, seed):
     n_max = int(idx[-1])
     fw = _f_values(f, 0, n_max)
     scale = kernel_diagonal(spec, n_max) + fw
-    X = _replica_draws(spec, n_max, idx - 1, seed, m_samples, k_half, np.sqrt(fw[idx - 1]))
+    X = _replica_draws(
+        spec, n_max, idx - 1, seed, m_samples, k_half, np.sqrt(fw[idx - 1]), thin=True
+    )
 
     critical = KS_CRITICAL_5PCT / np.sqrt(m_samples)
     records = []

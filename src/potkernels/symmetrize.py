@@ -86,10 +86,14 @@ class SymmetrizationLedger:
     m_vec: np.ndarray          # sqrt(c * r)
 
 
-def _symmetrize_sign_checked(A):
-    tiny = 1e-12 * max(1.0, np.abs(A).max())
+def _symmetrize_sign_checked(A, inverse_err=0.0):
+    # an entry counts as zero within 1e-12 max|A|, and one of the window block
+    # also within inverse_err, the error bound of the window inverse
+    absA = np.abs(A)
+    tiny = 1e-12 * max(1.0, absA.max())
     # NaN is never <= tiny, so a NaN pair is kept and symmetrizes to NaN
-    small = np.abs(A) <= tiny
+    small = absA <= max(tiny, inverse_err)
+    small[0], small[:, 0] = absA[0] <= tiny, absA[:, 0] <= tiny
     kept = ~(small | small.T)
     positive = A > 0
     bad = np.argwhere(np.triu(kept & (positive | positive.T), 1))
@@ -128,6 +132,10 @@ def analyze(K_ext, U_window, f_window):
     bound, n eps (|U^{-1}|^T f)_i or n eps (|U^{-1}| 1)_i (Higham, Accuracy
     and Stability of Numerical Algorithms, 2002, sec. 3.1), is zero before
     anything reads it; m = sqrt(c r) would lift its round-off to 1e-7 in nu.
+    Likewise the M-matrix sign pattern reads an entry of the window inverse
+    only above its error bound, the measured residual of `_checked_inverse`
+    times ||U^{-1}||_1: a dense solve of a window of condition 10^6 leaves
+    round-off of either sign beyond the band.
     """
     U = _as_matrix(U_window)
     n = U.shape[0]
@@ -138,7 +146,7 @@ def analyze(K_ext, U_window, f_window):
     scale_u = np.abs(U).max()
     if np.abs(U - U.T).max() > 1e-10 * max(1.0, scale_u):
         raise InputError("U_window must be symmetric")
-    Uinv = _checked_inverse(U_window)[0]
+    Uinv, resid = _checked_inverse(U_window)
 
     c = Uinv.T @ f
     r = Uinv.sum(axis=1)
@@ -179,7 +187,9 @@ def analyze(K_ext, U_window, f_window):
             f"negative window-inverse row sum {float(r.min())!r}",
         )
 
-    A_sym = _symmetrize_sign_checked(A)
+    # inv - U^{-1} = (inv U - I) U^{-1}, so no entry of inv is off by more
+    # than resid ||U^{-1}||_1: the sign pattern reads nothing below that
+    A_sym = _symmetrize_sign_checked(A, resid * absinv.sum(axis=0).max())
     sign_s, logdet_s = np.linalg.slogdet(A_sym)
     sign_a, logdet_a = np.linalg.slogdet(A)
     if sign_s <= 0 or sign_a <= 0:

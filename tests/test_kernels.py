@@ -36,6 +36,7 @@ from potkernels import (
     check_q_matrix,
     decay_envelope,
     extend,
+    gamma_marginal_test,
     kernel_diagonal,
     killed_walk_potential,
     phi_recursive,
@@ -516,6 +517,13 @@ class TestKeptColumns:
             assert np.array_equal(kept_rng.standard_normal(4), full_rng.standard_normal(4))
 
 
+class NoDrawRng:
+    """An RNG that fails on its first draw."""
+
+    def standard_normal(self, *args, **kwargs):
+        raise AssertionError("drawn before the refusal")
+
+
 class IdentityRng:
     """`standard_normal` that hands out the columns of the identity, in draw order.
 
@@ -586,6 +594,58 @@ class TestStreamCovariance:
         assert np.abs(R.T @ R - U).max() <= 1e-14 * np.abs(U).max()
 
 
+# the families whose KS harness draws the kept values as their own chain
+KEPT_CHAIN_FAMILIES = ("min", "exp-even", "exp-uneven", "ar1", "ar1-varying", "ar1_shifted")
+# 0-based kept columns of the 20 steps: with column 0, adjacent ones across
+# the chunk edge at 7, a single one, and the last
+KEPT_CHAIN_COLUMNS = {
+    "first": [0, 6, 13], "adjacent": [4, 5, 6, 7, 8, 9, 10, 11], "single": [9],
+    "last": [2, 11, 19],
+}
+
+
+def kept_chain_map(spec, n, cols, tile, chunk):
+    """R with R^T R the covariance of the kept chain's values at `cols`,
+    one identity draw per kept value (`IdentityRng`)."""
+    rows = cols.size
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "ROW_TILE", tile)
+        return np.hstack(list(mcsim._path_stream(
+            spec, n, IdentityRng(rows), rows, chunk, cols, thin=True
+        )))
+
+
+class TestKeptChain:
+    @pytest.mark.parametrize("tile", [1, 2, 3])
+    @pytest.mark.parametrize("kept", sorted(KEPT_CHAIN_COLUMNS))
+    @pytest.mark.parametrize("family", KEPT_CHAIN_FAMILIES)
+    def test_identity_draws_give_the_kept_kernel(self, family, kept, tile):
+        spec, cols = STREAMED[family], np.array(KEPT_CHAIN_COLUMNS[kept])
+        R = kept_chain_map(spec, STREAM_N, cols, tile, STREAM_CHUNK)
+        assert R.shape == (cols.size, cols.size)
+        U = dense_window(spec, Window(0, STREAM_N))[np.ix_(cols, cols)]
+        assert np.abs(R.T @ R - U).max() <= 1e-14 * np.abs(U).max()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=st.deferred(lambda: chain_windows(builders={
+            family: CHAIN_BUILDERS[family] for family in ("min", "exp", "ar1", "ar1_shifted")
+        })),
+        tile=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_drawn_kept_chains_give_the_kept_kernel(self, case, tile, data):
+        spec, w = case
+        n = w.l + w.n
+        cols = np.array(sorted(data.draw(
+            st.sets(st.integers(0, n - 1), min_size=1, max_size=n), label="cols"
+        )))
+        chunk = data.draw(st.integers(1, cols.size), label="chunk")
+        R = kept_chain_map(spec, n, cols, tile, chunk)
+        U = dense_window(spec, Window(0, n))[np.ix_(cols, cols)]
+        assert np.abs(R.T @ R - U).max() <= 1e-14 * np.abs(U).max()
+
+
 class TestShiftAdmissibility:
     def test_ar1_shift_bound(self):
         # admissibility cap at x = 1/2 is delta^2 < 1/(x1 (1 - x1)) = 4
@@ -614,10 +674,11 @@ class TestShiftAdmissibility:
             lambda spec: build_generator(spec, 8),
             lambda spec: kernel_diagonal(spec, 8),
             lambda spec: sample_gaussian(spec, 8, seed=1, trials=2),
+            lambda spec: gamma_marginal_test(spec, None, 0.5, [2, 8], 100, seed=1),
             lambda spec: predict(spec, "zero", 0.5),
         ],
         ids=["build_kernel", "build_generator", "kernel_diagonal",
-             "sample_gaussian", "predict"],
+             "sample_gaussian", "gamma_marginal_test", "predict"],
     )
     @pytest.mark.parametrize(
         "spec, key",
@@ -632,7 +693,10 @@ class TestShiftAdmissibility:
         ],
         ids=["shifted_scaled", "ar1_shifted", "ark_gen"],
     )
-    def test_every_entry_point_refuses_inadmissible(self, spec, key, entry):
+    def test_every_entry_point_refuses_inadmissible(self, spec, key, entry,
+                                                    monkeypatch):
+        # every refusal comes before the samplers' first draw
+        monkeypatch.setattr(mcsim, "_trial_rng", lambda seed, trial: NoDrawRng())
         assert not spec.admissibility().admissible
         with pytest.raises(IdentityError) as info:
             entry(spec)
@@ -904,6 +968,13 @@ class TestOnePoleChains:
         case=chain_windows(n_min=2, n_max=40, builders=LEDGER_BUILDERS),
         seed=st.integers(0, 2**32 - 1),
     )
+    # scaled-min windows of condition 1.6e6 and 5.5e5, whose dense inverses
+    # hold round-off beyond the band of 3e-8 and of mixed sign (1.6e-8,
+    # -1.6e-8), above 1e-12 max|A| but within the inverse's error bound
+    @example(case=(scaled_min_sqrt(np.random.default_rng(1988621901), 34), Window(0, 33)),
+             seed=0)
+    @example(case=(scaled_min_sqrt(np.random.default_rng(115447), 54), Window(19, 34)),
+             seed=0)
     def test_ledger_takes_the_chain_precision(self, case, seed):
         spec, w = case
         window = build_kernel(spec, w)

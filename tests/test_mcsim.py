@@ -223,18 +223,87 @@ class TestPermanentalSampler:
             sample_permanental(spec, None, k_half=1.5, n=6, seed=1, trials=2)
 
 
+# familywise level of a single-seed KS test over its indices, as in
+# perfbench's check_gamma: a correct sampler fails it once in 10^5 seeds
+KS_FAMILY_LEVEL = 1e-5
+
+
+def assert_gamma_law(rep):
+    """Each D below the Dvoretzky-Kiefer-Wolfowitz bound with Massart's
+    constant (Ann. Probab. 18, 1990) at KS_FAMILY_LEVEL over the report's
+    indices, and each mean within 6 standard errors of alpha."""
+    m, cells = rep.m_samples, len(rep.records)
+    critical = np.sqrt(np.log(2.0 * cells / KS_FAMILY_LEVEL) / 2.0) / np.sqrt(m)
+    for rec in rep.records:
+        assert rec.statistic < critical, (rec.index, rec.statistic, critical)
+        assert abs(rec.sample_mean - rep.alpha) <= 6.0 * np.sqrt(rep.alpha / m)
+
+
+def full_stream_harness(spec, f, alpha, indices, m, seed):
+    """The harness's records from the family's full stream kept at the
+    indices, with the KS supremum evaluated at every point."""
+    k_half, idx = int(2 * alpha), np.unique(indices)
+    n_max, rows = int(idx[-1]), m * k_half
+    rng = mcsim._trial_rng(seed, 0)
+    paths = np.hstack(list(spec.path_stream(n_max, rng, rows, mcsim._chunk_size(rows), idx - 1)))
+    fw = np.zeros(n_max) if f is None else np.asarray(f, dtype=float)[:n_max]
+    xi = rng.standard_normal((m, k_half))
+    shifted = paths.reshape(m, k_half, idx.size) + np.sqrt(fw[idx - 1]) * xi[:, :, None]
+    X = (shifted**2).sum(axis=1) / 2.0
+    scale = spec.diagonal(n_max) + fw
+    critical = mcsim.KS_CRITICAL_5PCT / np.sqrt(m)
+    records = []
+    for pos, j in enumerate(idx):
+        t = X[:, pos] / scale[j - 1]
+        D = mcsim._ks_statistic(gammainc(alpha, np.sort(t)))
+        records.append(mcsim.IndexKS(
+            index=int(j), statistic=D, critical=float(critical), passed=bool(D < critical),
+            sample_mean=float(t.mean()), expected_mean=float(alpha),
+        ))
+    return tuple(records)
+
+
 class TestGammaMarginals:
     def test_exp_kernel_passes(self):
         spec = ExpKernel(v=np.arange(30.0))
-        rep = gamma_marginal_test(spec, None, 0.5, [2, 10, 30], 20_000, seed=10)
+        rep = gamma_marginal_test(spec, None, 0.5, [2, 10, 30], 200_000, seed=10)
         assert rep.alpha == 0.5
-        assert all(r.passed for r in rep.records)
-        assert all(r.statistic < r.critical for r in rep.records)
+        assert_gamma_law(rep)
 
     def test_nonzero_f_passes(self):
         spec = AR1(x=np.full(29, 0.5))
-        rep = gamma_marginal_test(spec, np.ones(30), 1.0, [3, 20], 20_000, seed=10)
-        assert all(r.passed for r in rep.records)
+        rep = gamma_marginal_test(spec, np.ones(30), 1.0, [3, 20], 200_000, seed=10)
+        assert_gamma_law(rep)
+
+    @pytest.mark.parametrize(
+        "spec, f, indices",
+        [
+            (ScaledMinKernel(s=np.arange(1.0, 31.0), b=np.exp(0.1 * np.arange(30))),
+             np.ones(30), [2, 10, 30]),
+            (ShiftedScaled(s=np.arange(1.0, 31.0), b=np.exp(0.1 * np.arange(30)), Delta=0.5),
+             None, [2, 10, 30]),
+            (ARk(p=(0.5, 0.25)), None, [2, 10, 30]),
+            (ARkGen(p=(0.5, 0.25), a_sq=0.4), np.ones(30), [2, 10, 30]),
+            (KilledWalk(step_rates={-1: 0.5, 1: 0.5, -3: 0.1, 3: 0.1}, beta=0.3, radius=4),
+             None, [2, 5, 9]),
+        ],
+        ids=["scaled_min", "shifted_scaled", "ark", "ark_gen", "killed_walk"],
+    )
+    def test_full_stream_families_keep_their_draws(self, spec, f, indices):
+        # 6000 rows take the stream's row tiles
+        rep = gamma_marginal_test(spec, f, 1.0, indices, 3000, seed=4)
+        ref = full_stream_harness(spec, f, 1.0, indices, 3000, seed=4)
+        assert repr(rep.records) == repr(ref)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [MinKernel(s=np.arange(1.0, 11.0)), ExpKernel(v=np.arange(10.0)),
+         AR1(x=np.full(9, 0.5)), AR1Shifted(x=np.full(9, 0.5), delta_tilde=1.5)],
+        ids=["min", "exp", "ar1", "ar1_shifted"],
+    )
+    def test_refuses_an_index_past_the_spec(self, spec):
+        with pytest.raises(InputError, match="shorter|too short"):
+            gamma_marginal_test(spec, None, 0.5, [2, 11], 100, seed=1)
 
     def test_report_carries_expected_means(self):
         spec = ExpKernel(v=np.arange(30.0))

@@ -219,7 +219,7 @@ class TestRejections:
         assert "np." not in str(err.value)
 
 
-def sign_checked_loop(A):
+def sign_checked_loop(A, inverse_err=0.0):
     """Reference route: the sign check and geometric mean, pair by pair."""
     n = A.shape[0]
     scale = np.abs(A).max()
@@ -228,7 +228,8 @@ def sign_checked_loop(A):
     for i in range(n):
         for j in range(i + 1, n):
             x, y = A[i, j], A[j, i]
-            if abs(x) <= tiny or abs(y) <= tiny:
+            zero = max(tiny, inverse_err) if i > 0 else tiny   # row 0 is c and r
+            if abs(x) <= zero or abs(y) <= zero:
                 continue
             if x > 0 or y > 0:
                 if x * y < 0:
@@ -315,6 +316,36 @@ class TestSignCheck:
             assert str(err.value) == str(exc)
         else:
             assert np.array_equal(_symmetrize_sign_checked(A), ref, equal_nan=True)
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=150, deadline=None)
+    @given(A=sign_pattern_inputs(), level=st.sampled_from([1e-10, 1e-8, 1e-6, 1e-3]))
+    def test_window_block_reads_above_the_inverse_bound(self, A, level):
+        inverse_err = level * np.abs(A[np.isfinite(A)]).max()
+        try:
+            ref = sign_checked_loop(A, inverse_err)
+        except IdentityError as exc:
+            with pytest.raises(IdentityError) as err:
+                _symmetrize_sign_checked(A, inverse_err)
+            assert str(err.value) == str(exc)
+        else:
+            got = _symmetrize_sign_checked(A, inverse_err)
+            assert np.array_equal(got, ref, equal_nan=True)
+
+    def test_round_off_pair_of_the_window_block_is_zero(self):
+        # a mismatched pair within the inverse's bound in the window block is
+        # zero; the same pair in row 0, c and r, is still refused
+        A = -np.full((4, 4), 0.5)
+        np.fill_diagonal(A, 4.0)
+        A[2, 3], A[3, 2] = 1.35e-8, -1.13e-8
+        got = _symmetrize_sign_checked(A, 7.7e-7)
+        assert got[2, 3] == got[3, 2] == 0.0 and got[1, 2] == -0.5
+        with pytest.raises(IdentityError, match="mismatched signs"):
+            _symmetrize_sign_checked(A)
+        A[0, 3], A[3, 0] = A[2, 3], A[3, 2]
+        A[2, 3] = A[3, 2] = -0.5
+        with pytest.raises(IdentityError, match=r"pair \(0,3\) has mismatched"):
+            _symmetrize_sign_checked(A, 7.7e-7)
 
     def test_first_fault_in_row_major_order_is_reported(self):
         A = -np.ones((5, 5))
