@@ -12,7 +12,7 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.special import comb
 
-from .identities import IdentityError, InputError
+from .identities import IdentityError, InputError, check
 
 ROOT_CLUSTER_RADIUS = 1e-7
 ROOT_RESIDUAL_TOL = 1e-10
@@ -193,11 +193,8 @@ def char_roots(p):
     roots = polished
 
     residuals = np.abs(_poly_eval(coeffs, roots))
-    if np.any(residuals > ROOT_RESIDUAL_TOL * max(1.0, np.abs(coeffs).max())):
-        raise IdentityError(
-            "char-roots-location",
-            f"polished root residual {residuals.max():.3e} too large",
-        )
+    check("char-roots-location", residuals.max(),
+          ROOT_RESIDUAL_TOL * max(1.0, np.abs(coeffs).max()), "polished root residual")
     psum = p.sum()
     unit = np.abs(roots - 1.0) <= 1e-8
     if abs(psum - 1.0) <= 1e-12:
@@ -286,12 +283,9 @@ def partial_fractions(p):
     for l, (q, d) in enumerate(zip(roots, mults)):
         for j in range(1, d + 1):
             recon += table.coefficient(l, j) / (pts - q) ** j
-    gap = np.abs(direct - recon).max()
-    if gap > RECONSTRUCTION_TOL * max(1.0, np.abs(direct).max()):
-        raise IdentityError(
-            "partial-fraction-reconstruction",
-            f"reconstruction error {gap:.3e} at sample points",
-        )
+    check("partial-fraction-reconstruction", np.abs(direct - recon).max(),
+          RECONSTRUCTION_TOL * max(1.0, np.abs(direct).max()),
+          "reconstruction error at sample points")
     return table
 
 
@@ -321,11 +315,8 @@ def phi_closed(p, N):
         inv_pow = np.power(1.0 / q, n)
         for j in range(1, d + 1):
             acc += tbl.B[l][j - 1] * comb(j - 1 + n, j - 1) * inv_pow
-    imag = np.abs(acc.imag).max()
-    if imag > REAL_PROJECTION_TOL:
-        raise IdentityError(
-            "phi-closed-form", f"imaginary residue {imag:.3e} after conjugate pairing"
-        )
+    check("phi-closed-form", np.abs(acc.imag).max(), REAL_PROJECTION_TOL,
+          "imaginary residue after conjugate pairing")
     return _attach_drift(p, acc.real)
 
 
@@ -364,10 +355,8 @@ def c_star(p):
                         * tbl.B[lp][jp - 1]
                         * _f_series(j, jp, 1.0 / (q * qp))
                     )
-    if abs(series.imag) > REAL_PROJECTION_TOL:
-        raise IdentityError(
-            "cstar-two-routes", f"imaginary residue {series.imag:.3e} in series route"
-        )
+    check("cstar-two-routes", abs(series.imag), REAL_PROJECTION_TOL,
+          "imaginary residue of the series route")
     # the n=0 terms of F sum to the squared x^0 coefficient of the proper
     # part, which is -constant; drop it so the series starts at n=1
     value = float(series.real) - tbl.constant**2
@@ -377,24 +366,17 @@ def c_star(p):
     N = _truncation_index(r, d_max)
     ph = phi_recursive(p, N).values
     direct = float(np.dot(ph, ph))
-    if abs(value - direct) > AGREEMENT_TOL * max(1.0, direct):
-        raise IdentityError(
-            "cstar-two-routes",
-            f"series route {value!r} vs direct route {direct!r}",
-        )
+    check("cstar-two-routes", abs(value - direct), AGREEMENT_TOL * max(1.0, direct),
+          "gap between the series and direct routes")
 
     l1 = float(ph.sum())
     l1_expected = 1.0 / float(_poly_eval(_poly_coeffs(p), np.array([1.0]))[0])
-    if abs(l1 - l1_expected) > AGREEMENT_TOL * max(1.0, l1_expected):
-        raise IdentityError(
-            "phi-l1-identity", f"sum(phi) = {l1!r} but 1/P(1) = {l1_expected!r}"
-        )
+    check("phi-l1-identity", abs(l1 - l1_expected), AGREEMENT_TOL * max(1.0, l1_expected),
+          "gap between sum(phi) and 1/P(1)")
     lower = 1.0 + float(p[0]) ** 2
     upper = 1.0 / (1.0 - float(p.sum()) ** 2)
-    if not (lower - 1e-12 <= value <= upper + 1e-12):
-        raise IdentityError(
-            "cstar-bounds", f"c* = {value!r} outside [{lower!r}, {upper!r}]"
-        )
+    check("cstar-bounds", max(lower - value, value - upper), 1e-12,
+          "distance of c* outside [1 + p1^2, 1/(1 - sum(p)^2)]")
     return CStarResult(
         value=value,
         direct=direct,

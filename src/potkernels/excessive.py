@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .identities import IdentityError, InputError
+from .identities import IdentityError, InputError, check
 from .kernels import MinKernel, Window, build_kernel
 
 RATIO_SLACK = 1e-10        # relative slack before a ratio increase counts
@@ -171,11 +171,8 @@ def riesz_decompose(s, f):
     s = np.asarray(s, dtype=float)
     f_tilde = np.asarray(f, dtype=float) - cls.delta * s
     f_tilde = np.where(np.abs(f_tilde) < 1e-12 * max(1.0, cls.delta), 0.0, f_tilde)
-    if np.any(f_tilde < 0):
-        raise IdentityError(
-            "riesz-decomposition",
-            "potential part went negative; slope estimate unreliable",
-        )
+    check("riesz-decomposition", -f_tilde.min(), 0.0,
+          "slope estimate unreliable: negative potential part -min(f - delta s)")
     return PotentialFunction(values=f_tilde, start=1), cls.delta
 
 
@@ -199,18 +196,15 @@ def recover_density(s, f):
     ratios = cls.ratios
     h = -np.diff(ratios)
     scale = max(1.0, float(np.abs(ratios).max()))
-    if np.any(h < -RATIO_SLACK * scale):
-        raise IdentityError("density-recovery", "negative density recovered")
+    check("density-recovery", -h.min(initial=0.0), RATIO_SLACK * scale,
+          "negative recovered density -min(h)")
     h = np.maximum(h, 0.0)
     tail = max(float(ratios[-1]), 0.0)
     dens = DensitySequence(values=h, start=1, tail=tail)
     s1 = float(np.asarray(s, dtype=float)[0])
     target = float(np.asarray(f, dtype=float)[0]) / s1
-    if abs(dens.l1 - target) > 1e-10 * max(1.0, abs(target)):
-        raise IdentityError(
-            "density-l1-identity",
-            f"||h||_1 = {dens.l1} but f[1]/s[1] = {target}",
-        )
+    check("density-l1-identity", abs(dens.l1 - target), 1e-10 * max(1.0, abs(target)),
+          "gap between ||h||_1 and f[1]/s[1]")
     return dens
 
 
@@ -231,13 +225,9 @@ def _window_rho(kernel, fw):
     """rho of the values fw on a DenseKernelWindow, from its checked inverse."""
     value = float(kernel.inverse[0].sum(axis=0) @ fw)
     scale = max(1.0, float(np.abs(fw).max()))
-    if value < -1e-10 * scale:
-        raise IdentityError("rho-nonnegative", f"rho = {value:.3e} < 0")
+    check("rho-nonnegative", -value, 1e-10 * scale, "-rho")
     if isinstance(kernel.spec, MinKernel):
         closed = fw[0] / kernel.spec.s[kernel.window.l]
-        if abs(value - closed) > 1e-10 * scale:
-            raise IdentityError(
-                "rho-min-closed-form",
-                f"rho = {value!r} but f[l+1]/s[l+1] = {closed!r}",
-            )
+        check("rho-min-closed-form", abs(value - closed), 1e-10 * scale,
+              "gap between rho and f[l+1]/s[l+1]")
     return max(value, 0.0)

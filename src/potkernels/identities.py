@@ -8,6 +8,15 @@ different versions can be diffed by key.
 `IdentityError` names a failed check and `InputError` refuses input outside
 a routine's hypotheses, in the config field checker of `kernels` that the
 CLI shares and in each module's guards. Any other exception is a bug.
+
+Every numeric check goes through `check(key, residual, bound, detail)`: the
+check refuses unless residual <= bound, so a NaN residual or bound is
+refused, and the message reads "[key] {detail} {residual:.3e} exceeds
+{bound:g}". A check that reads many entries reduces them to one residual
+first. The refusals with no residual stay plain raises of `IdentityError`:
+a singular window, a boolean report (a sign pattern, a classification), a
+solver that does not converge or certify its root, and a spec outside an
+admissibility bound.
 """
 
 IDENTITIES = {
@@ -104,3 +113,13 @@ class IdentityError(ValueError):
 
 class InputError(ValueError):
     """Input outside a routine's stated hypotheses; the message names it."""
+
+
+def check(key, residual, bound, detail):
+    """Return `residual` if residual <= bound; refuse under `key` otherwise.
+
+    `detail` names the residual; the message is formatted only on refusal.
+    """
+    if residual <= bound:
+        return residual
+    raise IdentityError(key, f"{detail} {residual:.3e} exceeds {bound:g}")

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import betainc, betaincinv, gammainc, gammaincc, gammaln
 
 from .excessive import PotentialFunction
-from .identities import IdentityError, InputError
+from .identities import IdentityError, InputError, check
 from .kernels import ExpKernel, Window, _stream_recurrence, build_kernel
 from .normalizers import koval
 from .symmetrize import _as_values, analyze, extend, sandwich_factor
@@ -410,10 +410,8 @@ def limsup_experiment(config, prediction=None):
                 cp_pos += 1
             carry = acc[-1]
             j0 += m
-    if np.any(np.diff(raw, axis=1) < 0):
-        raise IdentityError(
-            "trend-direction", "running maxima must be nondecreasing in N"
-        )
+    check("trend-direction", -np.diff(raw, axis=1).min(initial=0.0), 0.0,
+          "largest fall of a running maximum as N grows")
     normalized = raw / phi_at[None, :]
     return TrendReport(
         checkpoints=cps,
@@ -560,21 +558,16 @@ def sparse_subsequence(M, epsilon, count, *, limit=None, row_norm=None, col_norm
     for i in range(1, limit + 1):
         if all(entry(i, c) <= epsilon and entry(c, i) <= epsilon for c in chosen):
             chosen.append(i)
-            if i > len(chosen) * bound + 1e-9:
-                raise IdentityError(
-                    "subsequence-growth-bound",
-                    f"index {i} exceeds n (||M|| + ||M^T||)/eps = "
-                    f"{len(chosen) * bound!r}",
-                )
             if len(chosen) == count:
                 break
-    for a_pos, i in enumerate(chosen):
-        for j in chosen[a_pos + 1 :]:
-            if entry(i, j) > epsilon or entry(j, i) > epsilon:
-                raise IdentityError(
-                    "subsequence-pairwise-bound",
-                    f"pair ({i}, {j}) exceeds epsilon after extraction",
-                )
+    n = np.arange(1, len(chosen) + 1)
+    check("subsequence-growth-bound", np.max(chosen - n * bound, initial=-np.inf), 1e-9,
+          "largest i[n] - n (||M|| + ||M^T||)/eps")
+    pairs = [(i, j) for a_pos, i in enumerate(chosen) for j in chosen[a_pos + 1 :]]
+    check("subsequence-pairwise-bound",
+          np.max([entry(i, j) for i, j in pairs] + [entry(j, i) for i, j in pairs],
+                 initial=-np.inf),
+          epsilon, "largest entry over extracted pairs")
     return SubsequenceResult(
         indices=tuple(chosen),
         partial=len(chosen) < count,

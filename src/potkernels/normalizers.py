@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .identities import IdentityError, InputError
+from .identities import InputError, check
 from .argen import c_star, phi_recursive
 
 GEOMETRIC_MARGIN = np.log(1.05)
@@ -121,12 +121,8 @@ def regime(s=None, probe_range=None, *, log_s=None):
     if checked.any():
         pj = probes[checked]
         ceiling = np.minimum(np.log(pj), np.log(logs[pj - 1]))
-        gap = float((kval[checked] - ceiling).max())
-        if gap > slack:
-            raise IdentityError(
-                "growth-normalizer-ceiling",
-                f"K_s(j) exceeds min(loglog s_j, log j) by {gap:.3e}",
-            )
+        gap = check("growth-normalizer-ceiling", float((kval[checked] - ceiling).max()),
+                    slack, "K_s(j) - min(loglog s_j, log j)")
 
     def kappa(j):
         if logs[j - 1] <= 1.0:

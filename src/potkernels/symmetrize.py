@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .identities import IdentityError, InputError
+from .identities import IdentityError, InputError, check
 from .kernels import DenseKernelWindow, _checked_inverse
 
 EXTEND_DET_TOL = 1e-10
@@ -62,13 +62,9 @@ def extend(U_window, f_window):
     K[1:, 1:] = U + f[None, :]
     sign_k, logdet_k = np.linalg.slogdet(K)
     sign_u, logdet_u = np.linalg.slogdet(U)
-    if sign_k != sign_u or abs(logdet_k - logdet_u) > EXTEND_DET_TOL * max(
-        1.0, abs(logdet_u)
-    ):
-        raise IdentityError(
-            "extended-kernel-determinant",
-            f"log det K_ext = {logdet_k!r} but log det U = {logdet_u!r}",
-        )
+    gap = abs(logdet_k - logdet_u) if sign_k == sign_u else np.inf
+    check("extended-kernel-determinant", gap, EXTEND_DET_TOL * max(1.0, abs(logdet_u)),
+          "gap between log det K_ext and log det U (inf if the signs differ)")
     return K
 
 
@@ -160,32 +156,17 @@ def analyze(K_ext, U_window, f_window):
     A[0, 1:] = -c
     A[1:, 0] = -r
     A[1:, 1:] = Uinv
-    dense = np.linalg.inv(K_ext)
-    gap = np.abs(A - dense).max()
-    if gap > A_CLOSED_FORM_TOL * max(1.0, np.abs(A).max()):
-        raise IdentityError(
-            "extension-inverse-closed-form",
-            f"closed-form inverse differs from dense inversion by {gap:.3e}",
-        )
+    scale_a = max(1.0, np.abs(A).max())
+    check("extension-inverse-closed-form", np.abs(A - np.linalg.inv(K_ext)).max(),
+          A_CLOSED_FORM_TOL * scale_a, "gap between the closed-form and dense inverses")
     row_sums = A.sum(axis=1)
-    if abs(row_sums[0] - 1.0) > ROW_SUM_TOL or (
-        n and np.abs(row_sums[1:]).max() > ROW_SUM_TOL * max(1.0, np.abs(A).max())
-    ):
-        raise IdentityError(
-            "extension-row-sums",
-            "row sums of the extended inverse must vanish except the first",
-        )
-    if c.min() < -BOUND_SLACK * max(1.0, np.abs(c).max()):
-        raise IdentityError(
-            "inverse-m-matrix",
-            f"negative coupling c = {float(c.min())!r}: f is not excessive "
-            "for this kernel",
-        )
-    if r.min() < -BOUND_SLACK * max(1.0, np.abs(r).max()):
-        raise IdentityError(
-            "inverse-m-matrix",
-            f"negative window-inverse row sum {float(r.min())!r}",
-        )
+    check("extension-row-sums", abs(row_sums[0] - 1.0), ROW_SUM_TOL, "first row sum minus 1")
+    check("extension-row-sums", np.abs(row_sums[1:]).max(initial=0.0),
+          ROW_SUM_TOL * scale_a, "largest later row sum")
+    check("inverse-m-matrix", -c.min(), BOUND_SLACK * max(1.0, np.abs(c).max()),
+          "f is not excessive for this kernel: negative coupling -min(c)")
+    check("inverse-m-matrix", -r.min(), BOUND_SLACK * max(1.0, np.abs(r).max()),
+          "negative window-inverse row sum -min(r)")
 
     # inv - U^{-1} = (inv U - I) U^{-1}, so no entry of inv is off by more
     # than resid ||U^{-1}||_1: the sign pattern reads nothing below that
@@ -198,32 +179,21 @@ def analyze(K_ext, U_window, f_window):
         )
     nu_det = float(np.exp(logdet_s - logdet_a))
     m = np.sqrt(np.clip(c, 0.0, None) * np.clip(r, 0.0, None))
-    nu_closed = (1.0 + rho) - float(m @ U @ m)
-    if abs(nu_det - nu_closed) > NU_TOL * max(1.0, nu_closed):
-        raise IdentityError(
-            "nu-two-routes",
-            f"determinant ratio {nu_det!r} vs closed form {nu_closed!r}",
-        )
-    nu = nu_closed
-    if not (1.0 - NU_TOL <= nu <= 1.0 + rho + NU_TOL * max(1.0, rho)):
-        raise IdentityError("nu-bounds", f"nu = {nu!r} outside [1, 1 + rho]")
+    nu = (1.0 + rho) - float(m @ U @ m)
+    check("nu-two-routes", abs(nu_det - nu), NU_TOL * max(1.0, nu),
+          "gap between the determinant ratio and the closed form")
+    check("nu-bounds", 1.0 - nu, NU_TOL, "1 - nu")
+    check("nu-bounds", nu - (1.0 + rho), NU_TOL * max(1.0, rho), "nu - (1 + rho)")
 
     a_vec = (U @ m) / np.sqrt(nu)
     cap = np.sqrt(f)
-    if np.any(a_vec < -BOUND_SLACK) or np.any(
-        a_vec > cap + BOUND_SLACK * np.maximum(1.0, cap)
-    ):
-        raise IdentityError(
-            "a-vector-bound", "a_vec must lie within [0, sqrt(f)] entrywise"
-        )
+    check("a-vector-bound", np.maximum(-a_vec, (a_vec - cap) / np.maximum(1.0, cap)).max(),
+          BOUND_SLACK, "distance of a_vec outside [0, sqrt(f)] relative to max(1, sqrt(f))")
 
     K_isymi = np.linalg.inv(A_sym)
-    block_gap = np.abs(K_isymi[1:, 1:] - (U + np.outer(a_vec, a_vec))).max()
-    if block_gap > BLOCK_TOL * max(1.0, scale_u):
-        raise IdentityError(
-            "isymi-block-identity",
-            f"bottom block differs from U + a a^T by {block_gap:.3e}",
-        )
+    check("isymi-block-identity",
+          np.abs(K_isymi[1:, 1:] - (U + np.outer(a_vec, a_vec))).max(),
+          BLOCK_TOL * max(1.0, scale_u), "gap between the bottom block and U + a a^T")
     return SymmetrizationLedger(
         K_ext=K_ext,
         A=A,
@@ -262,9 +232,6 @@ def sandwich_factor(alpha, rho):
     lower = (1.0 / (1.0 + rho)) ** alpha
     slack = 1.0 - lower
     linear = 2.0 * alpha * rho
-    if lower <= 1.0 - linear - 1e-15:
-        raise IdentityError(
-            "sandwich-linear-bound",
-            f"(1/(1+rho))^alpha = {lower!r} undercuts 1 - 2 alpha rho",
-        )
+    check("sandwich-linear-bound", (1.0 - linear) - lower, 1e-15,
+          "1 - 2 alpha rho - (1/(1+rho))^alpha")
     return SandwichWeights(lower=lower, slack=slack, linear_slack=linear)

@@ -154,6 +154,21 @@ class TestValidate:
         assert code == 1
         assert "excessive-ratio-test" in capsys.readouterr().err
 
+    # the overflow warnings are the input's doing
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_rho_is_refused(self, tmp_path, capsys):
+        # rho and f[l+1]/s[l+1] both overflow to inf; their gap is NaN
+        cfg = {
+            "command": "validate",
+            "spec": {"family": "min", "s": [0.5, 1, 2, 3, 4, 5, 6, 7]},
+            "window": {"l": 0, "n": 6},
+            "f": {"values": [1e308] * 6},
+        }
+        code, outdir = run_cli(tmp_path, cfg)
+        assert code == 1
+        assert "rho-min-closed-form" in capsys.readouterr().err
+        assert not (outdir / "validate.json").exists()
+
     @pytest.mark.parametrize(
         "spec, l, f",
         [
