@@ -5,8 +5,14 @@ criterion-8 inputs of the `sample-ks` workload: exp with unit gaps and AR1
 with x = 1/2 at n = 40, indices 2, 10 and 30, alpha 1/2 and 3/2 (10^5 and
 3 x 10^5 Gaussian rows). Both families are order-1 chains, so each row
 draws only its 3 tested values, as the Markov chain that they form
-(`_Chain._kept_chain`). Its cost is those normal draws, one band solve of 3
-steps per row tile, and the KS supremum per index. `test_stream` times the bare stream
+(`_Chain._kept_chain`). Its cost is those normal draws, one per chunk on
+the calling thread, the chain's recurrence, which `linear_recurrence` runs
+as a loop over the 3 columns, and the KS supremum per index.
+`test_linear_recurrence` times `linear_recurrence` alone at k = 1 with
+per-index coefficients, from a fresh copy of u each round: on a KS cell's
+(3 x 10^5, 3) kept chain, on 4096-row stream tiles of 40, 64 and 256
+columns, past the column loop's cap of 8, and on 21 rows of 65536 columns,
+a trend stream's few long rows. `test_stream` times the bare stream
 at the larger size, 3 x 10^5 rows of 30 steps of the exp recurrence, drawn
 and filtered with nothing after it, keeping all 30 columns (`all`) or the
 three that the KS harness reads (`ks`). Both tests also run the call once
@@ -45,6 +51,7 @@ from potkernels import (
     gamma_marginal_test,
     window_inverse,
 )
+from potkernels.argen import linear_recurrence
 from potkernels.mcsim import _trial_rng
 
 SAMPLES = 100_000
@@ -113,6 +120,23 @@ def test_stream(benchmark, kept):
     last = benchmark(consume_stream, *args)
     width = 30 if STREAM_COLUMNS[kept] is None else len(INDICES)
     assert last.shape == (3 * SAMPLES, width)
+
+
+# (rows, columns) of the k = 1 recurrence
+RECURRENCE_SHAPES = [(3 * SAMPLES, 3), (4096, 40), (4096, 64), (4096, 256), (21, 65536)]
+
+
+@pytest.mark.parametrize(
+    "rows, n", RECURRENCE_SHAPES, ids=[f"{rows}x{n}" for rows, n in RECURRENCE_SHAPES]
+)
+def test_linear_recurrence(benchmark, rows, n):
+    rng = np.random.default_rng(7)
+    c, u = rng.uniform(0.2, 0.9, (1, n)), rng.standard_normal((rows, n))
+    history = np.zeros((rows, 1))
+    y = benchmark.pedantic(
+        linear_recurrence, setup=lambda: ((c, u.copy(), history), {}), rounds=40
+    )
+    assert y.shape == (rows, n)
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,10 @@ RECONSTRUCTION_TOL = 1e-9
 SERIES_EPS = 1e-15
 AGREEMENT_TOL = 1e-9
 
+# bounds of `linear_recurrence`'s column loop at k = 1 (BENCH_27.json crossover)
+LOOP_COLUMNS = 8
+LOOP_ROWS_PER_COLUMN = 32
+
 # seed of the interior points that the partial fractions are checked at
 RECONSTRUCTION_SEED = 20
 
@@ -98,15 +102,29 @@ def linear_recurrence(c, u, history):
     LAPACK's `dtbtrs` on L^T in upper band storage with trans="T", so each
     y[j] is u[j] less a dot product of the band with the k values before
     it (Rue & Held, Gaussian Markov Random Fields, 2005, ch. 2). At k = 1
-    that is u[j] + c[j] y[j-1], the plain recurrence bit for bit. The band
+    that is u[j] + c[j] y[j-1] bit for bit, but for a zero product, where
+    the dot product, begun at +0, leaves u[j] as it is, -0.0 too. The band
     is held in Fortran order and u solved as u.T, so a C-contiguous u is
     solved in place, with no copy. An empty u is returned untouched: LAPACK
     must not see an empty right-hand side, which corrupts the heap.
+
+    At k = 1 over n <= LOOP_COLUMNS columns of LOOP_ROWS_PER_COLUMN * n rows
+    or more, where `dtbtrs` costs more by its call per row, a loop over the
+    columns runs instead, in place, with the solve's arithmetic: y[j] = u[j]
+    - (0 + (-c[j]) y[j-1]), the same bits, signed zeros included.
     """
     if u.size == 0:
         return u
     k, n = len(c), u.shape[-1]
     c = np.broadcast_to(c, (k, n))
+    history = np.broadcast_to(history, u.shape[:-1] + (k,))
+    for i in range(1, k + 1):
+        m = min(i, n)          # y[j-i] is history for j < i
+        u[..., :m] += c[i - 1, :m] * history[..., k - i : k - i + m]
+    if k == 1 and n <= LOOP_COLUMNS and u.size >= LOOP_ROWS_PER_COLUMN * n * n:
+        for j in range(1, n):
+            u[..., j] -= -c[0, j] * u[..., j - 1] + 0.0    # dtbtrs's +0-begun dot
+        return u
     if c.strides[1] == 0:      # constant in j: one band column, repeated
         band = np.repeat(np.append(-c[::-1, 0], 1.0)[None], n, axis=0).T
     else:                      # row by row: a (k + 1)-wide copy loops per column
@@ -114,10 +132,6 @@ def linear_recurrence(c, u, history):
         band[k] = 1.0
         for i in range(1, k + 1):
             np.negative(c[i - 1], out=band[k - i])
-    history = np.broadcast_to(history, u.shape[:-1] + (k,))
-    for i in range(1, k + 1):
-        m = min(i, n)          # y[j-i] is history for j < i
-        u[..., :m] += c[i - 1, :m] * history[..., k - i : k - i + m]
     return lapack.dtbtrs(band, u.T, trans="T", diag="U", overwrite_b=1)[0].T
 
 

@@ -230,4 +230,5 @@ def _window_rho(kernel, fw):
         closed = fw[0] / kernel.spec.s[kernel.window.l]
         check("rho-min-closed-form", abs(value - closed), 1e-10 * scale,
               "gap between rho and f[l+1]/s[l+1]")
+    check("rho-quadratic-form", abs(value), np.finfo(float).max, "|rho|")
     return max(value, 0.0)

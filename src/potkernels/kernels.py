@@ -12,9 +12,9 @@ functions call after checking `admissibility()`:
 - `diagonal(n)`: U[j,j] for j = 1..n (`mcsim.kernel_diagonal`);
 - `path_stream(n_max, rng, rows, chunk, cols=None)`: chunked Gaussian paths
   with the kernel as covariance at the sorted 0-based columns `cols` (all by
-  default): the chain's recurrence as one unit band solve per chunk
-  (`argen.linear_recurrence`), the killed walk's solve with the band Cholesky
-  factor of its precision, and the base's refusal for rank-one updates;
+  default): the chain's recurrence, one `argen.linear_recurrence` per
+  chunk, the killed walk's solve with the band Cholesky factor of its
+  precision, and the base's refusal for rank-one updates;
 - `_kept_chain(cols)`: for min, exp, AR1 and AR1Shifted, the values at the
   sorted 0-based `cols` as a Markov chain of their own, which the KS harness
   draws alone (`mcsim._path_stream`); None for every other family;

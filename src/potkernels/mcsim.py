@@ -19,11 +19,11 @@ configurations reproduce bitwise-identical reports.
 The Gamma-marginal KS harness draws only the indices it tests. For min, exp,
 AR1 and AR1Shifted, whose values at any increasing indices are again a
 Gaussian Markov chain, that chain is drawn alone (`_Chain._kept_chain`), one
-(rows, kept) draw in row tiles; every other family draws its full stream, and
-a helper thread that the stream owns filters each row tile of a wide batch
-and writes just the tested columns (`kernels._filtered_chunks`). Its KS
-supremum takes the Gamma CDF at knots every KS_KNOT_STRIDE sorted points and
-then only between knots where the supremum can sit (`_ks_gamma`).
+(rows, kept) draw per chunk on this thread; every other family draws its full
+stream, and a helper thread that the stream owns filters each row tile of a
+wide batch and writes just the tested columns (`kernels._filtered_chunks`).
+Its KS supremum takes the Gamma CDF at knots every KS_KNOT_STRIDE sorted
+points and then only between knots where the supremum can sit (`_ks_gamma`).
 """
 
 from dataclasses import dataclass
@@ -33,7 +33,8 @@ from scipy.special import betainc, betaincinv, gammainc, gammaincc, gammaln
 
 from .excessive import PotentialFunction
 from .identities import IdentityError, InputError, check
-from .kernels import ExpKernel, Window, _stream_recurrence, build_kernel
+from .argen import linear_recurrence
+from .kernels import ExpKernel, Window, _chunks, build_kernel
 from .normalizers import koval
 from .symmetrize import _as_values, analyze, extend, sandwich_factor
 
@@ -68,8 +69,18 @@ def _path_stream(spec, n_max, rng, rows, chunk=None, cols=None, thin=False):
     chunk = chunk or _chunk_size(rows)
     if not thin or spec._kept_chain is None:
         return spec.path_stream(n_max, rng, rows, chunk, cols)
-    A, sd = spec._kept_chain(cols)
-    return _stream_recurrence(A[None], sd, np.zeros((rows, 1)), rng, rows, cols.size, chunk)
+    return _kept_chain_stream(*spec._kept_chain(cols), rng, rows, chunk)
+
+
+def _kept_chain_stream(A, sd, rng, rows, chunk):
+    """y[i] = A[i] y[i-1] + sd[i] g, one (rows, m) draw per chunk filtered on
+    this thread: `_stream_recurrence`'s values, without its row tiles."""
+    y = np.zeros((rows, 1))
+    for j0, m in _chunks(A.size, chunk):
+        g = rng.standard_normal((rows, m))
+        g *= sd[j0 : j0 + m]
+        y = linear_recurrence(A[None, j0 : j0 + m], g, y[:, -1:].copy())
+        yield y
 
 
 def _gaussian_paths(spec, n_max, rng, rows, cols=None, thin=False):
@@ -151,8 +162,9 @@ def _replica_draws(spec, n_max, cols, seed, count, k_half, a, thin=False):
     rng = _trial_rng(seed, 0)
     paths = _gaussian_paths(spec, n_max, rng, count * k_half, cols, thin)
     xi = rng.standard_normal((count, k_half))
-    shifted = paths.reshape(count, k_half, cols.size) + a[None, None, :] * xi[:, :, None]
-    return (shifted**2).sum(axis=1) / 2.0
+    shifted = paths.reshape(count, k_half, cols.size)
+    shifted += a[None, None, :] * xi[:, :, None]
+    return np.square(shifted, out=shifted).sum(axis=1) / 2.0
 
 
 def sample_permanental(spec, f, k_half, n, seed, trials=1, l=0):

@@ -169,6 +169,20 @@ class TestValidate:
         assert "rho-min-closed-form" in capsys.readouterr().err
         assert not (outdir / "validate.json").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infinite_rho_is_refused(self, tmp_path, capsys):
+        # rho overflows to inf, which passes rho >= 0; exp has no closed form of rho
+        cfg = {
+            "command": "validate",
+            "spec": {"family": "exp", "v": [0, 1, 2, 3, 4, 5, 6, 7]},
+            "window": {"l": 0, "n": 6},
+            "f": {"values": [1e308] * 6},
+        }
+        code, outdir = run_cli(tmp_path, cfg)
+        assert code == 1
+        assert "[rho-quadratic-form] |rho| inf" in capsys.readouterr().err
+        assert not (outdir / "validate.json").exists()
+
     @pytest.mark.parametrize(
         "spec, l, f",
         [

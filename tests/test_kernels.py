@@ -46,7 +46,7 @@ from potkernels import (
     verify_duality,
     window_inverse,
 )
-from potkernels import kernels, mcsim
+from potkernels import argen, kernels, mcsim
 from potkernels.argen import linear_recurrence
 
 from conftest import random_density, random_increasing_s
@@ -235,6 +235,66 @@ def one_pole(a, u, y0):
     return linear_recurrence(np.reshape(a, (1, -1)), u.copy(), np.expand_dims(y0, -1))
 
 
+def routed_recurrence(c, u, history, route=None):
+    """`linear_recurrence` on a copy of u, forced to the column loop or to
+    the band solve by its shape bounds (by the shipped bounds when route is
+    None), and whether it called `dtbtrs`."""
+    calls = []
+    solve = argen.lapack.dtbtrs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(argen.lapack, "dtbtrs", lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+        if route == "loop":
+            mp.setattr(argen, "LOOP_COLUMNS", np.inf)
+            mp.setattr(argen, "LOOP_ROWS_PER_COLUMN", 0)
+        elif route == "band":
+            mp.setattr(argen, "LOOP_COLUMNS", 0)
+        y = linear_recurrence(c, u.copy(), history)
+    return y, bool(calls)
+
+
+def same_bits(a, b):
+    """Equal arrays bit for bit: -0.0 differs from 0.0, unlike np.array_equal."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def signed_zeros(rng, x, share):
+    """x with about `share` of its entries set to +0.0 or -0.0."""
+    x = np.array(x, dtype=float)
+    hit = rng.random(x.shape) < share
+    x[hit] = np.copysign(0.0, rng.standard_normal(x.shape))[hit]
+    return x
+
+
+@st.composite
+def one_pole_routes(draw):
+    """k = 1 inputs on both sides of the column loop's bounds: n at and past
+    LOOP_COLUMNS, rows at, just below and around LOOP_ROWS_PER_COLUMN n, 1-d
+    to 3-d u, scalar or per-row history, constant or per-index c with runs of
+    0 and 1, and signed zeros throughout."""
+    cap = argen.LOOP_COLUMNS
+    n = draw(st.one_of(st.sampled_from([1, cap, cap + 1]), st.integers(1, 2 * cap)))
+    edge = argen.LOOP_ROWS_PER_COLUMN * n
+    ndim = draw(st.sampled_from([1, 2, 3]))
+    rows = 1 if ndim == 1 else draw(
+        st.one_of(st.sampled_from([edge - 1, edge]), st.integers(1, 2 * edge))
+    )
+    lead = {1: (), 2: (rows,), 3: (2, rows // 2) if rows % 2 == 0 else (1, rows)}[ndim]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):                      # constant in j
+        c = np.full((1, 1), draw(st.sampled_from([0.0, -0.0, 1.0, 0.5, -0.75])))
+    else:
+        c = signed_zeros(rng, rng.uniform(-1.0, 1.0, (1, n)), 0.1)
+        for value in (0.0, 1.0):
+            start = draw(st.integers(0, n - 1))
+            c[0, start : start + draw(st.integers(0, n // 2 + 1))] = value
+    u = signed_zeros(rng, rng.standard_normal(lead + (n,)), 0.3)
+    if draw(st.booleans()):
+        history = signed_zeros(rng, rng.standard_normal(lead + (1,)), 0.3)
+    else:
+        history = draw(st.sampled_from([0.0, -0.0, 0.7]))
+    return c, u, history
+
+
 # order-k families: simple real roots, a unit root with a repeated pair,
 # and a complex pair (the tests of `argen` use the same three)
 ORDER_K = {
@@ -268,6 +328,31 @@ class TestLinearRecurrence:
     )))
     def test_one_pole_matches_per_step_reference(self, case):
         assert np.array_equal(one_pole(*case), one_pole_loop(*case))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=one_pole_routes())
+    def test_column_loop_and_band_solve_agree_bit_for_bit(self, case):
+        c, u, history = case
+        loop, loop_solved = routed_recurrence(c, u, history, "loop")
+        band, band_solved = routed_recurrence(c, u, history, "band")
+        assert not loop_solved and band_solved
+        assert same_bits(loop, band)
+        got, solved = routed_recurrence(c, u, history)
+        n = u.shape[-1]
+        assert solved == (n > argen.LOOP_COLUMNS
+                          or u.size < argen.LOOP_ROWS_PER_COLUMN * n * n)
+        assert same_bits(got, band)
+
+    @pytest.mark.parametrize("rows, n", [(1, 5), (300, 3), (4096, 8), (40, 200)])
+    @pytest.mark.parametrize("family", sorted(ORDER_K))
+    def test_order_k_never_loops(self, family, rows, n):
+        # even with the column loop's bounds open to every shape
+        p = ORDER_K[family]
+        rng = np.random.default_rng(rows + n)
+        u, history = rng.standard_normal((rows, n)), rng.standard_normal((rows, p.size))
+        got, solved = routed_recurrence(p[:, None], u, history, "loop")
+        assert solved
+        assert same_bits(got, routed_recurrence(p[:, None], u, history, "band")[0])
 
     def test_constant_coefficient_takes_one_start_for_all_rows(self):
         u = np.random.default_rng(3).standard_normal((3, 5))
@@ -644,6 +729,28 @@ class TestKeptChain:
         R = kept_chain_map(spec, n, cols, tile, chunk)
         U = dense_window(spec, Window(0, n))[np.ix_(cols, cols)]
         assert np.abs(R.T @ R - U).max() <= 1e-14 * np.abs(U).max()
+
+    @pytest.mark.parametrize("family", KEPT_CHAIN_FAMILIES)
+    def test_thin_path_keeps_the_tiled_draws(self, family):
+        # more rows than one tile and 8 kept columns in chunks of 3; the
+        # reference is the tiled stream over the same kept chain
+        spec, cols = STREAMED[family], np.array(KEPT_CHAIN_COLUMNS["adjacent"])
+        rows, chunk = 2 * kernels.ROW_TILE + 3, 3
+        A, sd = spec._kept_chain(cols)
+        tiled = kernels._stream_recurrence(
+            A[None], sd, np.zeros((rows, 1)), CallerThreadRng(5), rows, cols.size, chunk
+        )
+        ref = [next(tiled)]
+        assert len(filter_threads()) == 1
+        ref += list(tiled)
+        thin = mcsim._path_stream(spec, STREAM_N, CallerThreadRng(5), rows, chunk, cols,
+                                  thin=True)
+        got = []
+        for block in thin:
+            assert filter_threads() == []
+            got.append(block)
+        assert len(got) == len(ref) == 3
+        assert all(same_bits(g, r) for g, r in zip(got, ref))
 
 
 class TestShiftAdmissibility:

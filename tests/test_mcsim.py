@@ -222,6 +222,23 @@ class TestPermanentalSampler:
         with pytest.raises(ValueError):
             sample_permanental(spec, None, k_half=1.5, n=6, seed=1, trials=2)
 
+    @pytest.mark.parametrize("thin", [False, True])
+    @pytest.mark.parametrize("kept", [1, 2, 3])
+    @pytest.mark.parametrize("k_half", range(1, 17))
+    def test_replicas_reduce_in_place_bit_for_bit(self, k_half, kept, thin):
+        # reference: the replicas shifted, squared and summed out of place;
+        # with one column numpy may sum the replica axis pairwise from 8 on
+        spec, count, seed = ExpKernel(v=np.arange(12.0)), 37, 3
+        cols = np.array([1, 6, 10][:kept])
+        a = np.random.default_rng(k_half).uniform(0.0, 2.0, kept)
+        rng = mcsim._trial_rng(seed, 0)
+        paths = mcsim._gaussian_paths(spec, 12, rng, count * k_half, cols, thin)
+        xi = rng.standard_normal((count, k_half))
+        shifted = paths.reshape(count, k_half, kept) + a[None, None, :] * xi[:, :, None]
+        ref = (shifted**2).sum(axis=1) / 2.0
+        got = mcsim._replica_draws(spec, 12, cols, seed, count, k_half, a, thin)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
 
 # familywise level of a single-seed KS test over its indices, as in
 # perfbench's check_gamma: a correct sampler fails it once in 10^5 seeds
