@@ -8,8 +8,9 @@ f = U h for a density h >= 0 on five labels of the window, so the
 couplings U^{-1} f recover h and rho is the mass of h. The window and f are
 built outside the timed call, afresh for every round, since a window keeps
 its checked inverse once read; the row is the ledger's cost alone: the
-checked window inverse, the dense inverse of the extension, the sign check
-of the symmetrization and the determinants.
+checked window inverse, the residual products that check the closed-form
+inverses of the extension and of its symmetrization, the sign check of the
+symmetrization and the determinants.
 
 The scaled-min couplings P^T f carry round-off of about 1e-13 at the labels
 where h is zero. It lies within the dot-product error bound that `analyze`

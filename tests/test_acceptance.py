@@ -173,8 +173,10 @@ def test_criterion_07_symmetrization_ledger():
         cap = np.sqrt(f)
         assert np.all(led.a_vec <= cap + 1e-8 * np.maximum(1.0, cap))
 
+        # against the dense inverse of A_sym: the ledger's K_isymi is U + a a^T
+        # by construction
         block_gap = np.abs(
-            led.K_isymi[1:, 1:] - (U + np.outer(led.a_vec, led.a_vec))
+            np.linalg.inv(led.A_sym)[1:, 1:] - (U + np.outer(led.a_vec, led.a_vec))
         ).max()
         assert block_gap <= 1e-8 * max(1.0, np.abs(U).max())
 

@@ -1,6 +1,7 @@
 """End-to-end checks for the JSON-config command line front end."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -181,6 +182,29 @@ class TestValidate:
         code, outdir = run_cli(tmp_path, cfg)
         assert code == 1
         assert "[rho-quadratic-form] |rho| inf" in capsys.readouterr().err
+        assert not (outdir / "validate.json").exists()
+
+    def test_nan_in_a_later_duality_part_is_refused(self, tmp_path, monkeypatch, capsys):
+        # U Q gets a NaN in its first interior column, Q U stays finite; the
+        # first part is then the largest finite one, and the NaN must still win
+        class NanOnTheRight(np.ndarray):
+            def __rmatmul__(self, other):
+                out = other @ self.view(np.ndarray)
+                out[0, 0] = np.nan
+                return out
+
+        build_generator = kernels.build_generator
+
+        def poisoned(spec, size):
+            G = build_generator(spec, size)
+            return dataclasses.replace(G, entries=G.entries.view(NanOnTheRight))
+
+        monkeypatch.setattr(kernels, "build_generator", poisoned)
+        cfg = {"command": "validate", "spec": min_spec(10), "window": {"l": 1, "n": 6}}
+        code, outdir = run_cli(tmp_path, cfg)
+        assert code == 1
+        assert ("[generator-duality] kernel-times-generator residual at row 1 nan"
+                in capsys.readouterr().err)
         assert not (outdir / "validate.json").exists()
 
     @pytest.mark.parametrize(

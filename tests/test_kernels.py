@@ -689,24 +689,21 @@ KEPT_CHAIN_COLUMNS = {
 }
 
 
-def kept_chain_map(spec, n, cols, tile, chunk):
+def kept_chain_map(spec, n, cols, chunk):
     """R with R^T R the covariance of the kept chain's values at `cols`,
     one identity draw per kept value (`IdentityRng`)."""
     rows = cols.size
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "ROW_TILE", tile)
-        return np.hstack(list(mcsim._path_stream(
-            spec, n, IdentityRng(rows), rows, chunk, cols, thin=True
-        )))
+    return np.hstack(list(mcsim._path_stream(
+        spec, n, IdentityRng(rows), rows, chunk, cols, thin=True
+    )))
 
 
 class TestKeptChain:
-    @pytest.mark.parametrize("tile", [1, 2, 3])
     @pytest.mark.parametrize("kept", sorted(KEPT_CHAIN_COLUMNS))
     @pytest.mark.parametrize("family", KEPT_CHAIN_FAMILIES)
-    def test_identity_draws_give_the_kept_kernel(self, family, kept, tile):
+    def test_identity_draws_give_the_kept_kernel(self, family, kept):
         spec, cols = STREAMED[family], np.array(KEPT_CHAIN_COLUMNS[kept])
-        R = kept_chain_map(spec, STREAM_N, cols, tile, STREAM_CHUNK)
+        R = kept_chain_map(spec, STREAM_N, cols, STREAM_CHUNK)
         assert R.shape == (cols.size, cols.size)
         U = dense_window(spec, Window(0, STREAM_N))[np.ix_(cols, cols)]
         assert np.abs(R.T @ R - U).max() <= 1e-14 * np.abs(U).max()
@@ -716,17 +713,16 @@ class TestKeptChain:
         case=st.deferred(lambda: chain_windows(builders={
             family: CHAIN_BUILDERS[family] for family in ("min", "exp", "ar1", "ar1_shifted")
         })),
-        tile=st.integers(1, 3),
         data=st.data(),
     )
-    def test_drawn_kept_chains_give_the_kept_kernel(self, case, tile, data):
+    def test_drawn_kept_chains_give_the_kept_kernel(self, case, data):
         spec, w = case
         n = w.l + w.n
         cols = np.array(sorted(data.draw(
             st.sets(st.integers(0, n - 1), min_size=1, max_size=n), label="cols"
         )))
         chunk = data.draw(st.integers(1, cols.size), label="chunk")
-        R = kept_chain_map(spec, n, cols, tile, chunk)
+        R = kept_chain_map(spec, n, cols, chunk)
         U = dense_window(spec, Window(0, n))[np.ix_(cols, cols)]
         assert np.abs(R.T @ R - U).max() <= 1e-14 * np.abs(U).max()
 

@@ -1,5 +1,7 @@
 """Kernel extension, the isymi ledger, and sandwich comparison weights."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from potkernels import (
     AR1,
     DensitySequence,
+    ExpKernel,
     IdentityError,
     InputError,
     MinKernel,
@@ -19,6 +22,8 @@ from potkernels import (
     sample_permanental,
     sandwich_factor,
 )
+from potkernels import symmetrize
+from potkernels.cli import main
 from potkernels.kernels import CONDITION_LIMIT, DenseKernelWindow
 from potkernels.symmetrize import _symmetrize_sign_checked
 
@@ -75,6 +80,7 @@ class TestKnownLedger:
         assert led.nu == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(led.a_vec, 1.0, atol=1e-12)
         assert led.K_isymi[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.inv(led.A_sym)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_f_decouples(self):
         s = np.arange(1.0, 6.0)
@@ -84,8 +90,10 @@ class TestKnownLedger:
         assert led.rho == 0.0
         assert led.nu == pytest.approx(1.0, abs=1e-14)
         np.testing.assert_allclose(led.a_vec, 0.0, atol=1e-14)
-        np.testing.assert_allclose(led.K_isymi[0, 1:], 0.0, atol=1e-12)
-        np.testing.assert_allclose(led.K_isymi[1:, 1:], U, atol=1e-10)
+        # the dense inverse of A_sym, a route apart from the closed-form K_isymi
+        K_isymi = np.linalg.inv(led.A_sym)
+        np.testing.assert_allclose(K_isymi[0, 1:], 0.0, atol=1e-12)
+        np.testing.assert_allclose(K_isymi[1:, 1:], U, atol=1e-10)
 
 
 class TestLedgerInvariants:
@@ -100,8 +108,10 @@ class TestLedgerInvariants:
         assert np.all(led.a_vec <= cap + 1e-8 * np.maximum(1.0, cap))
         assert np.all(led.a_vec >= -1e-10)
 
+        # the closed-form K_isymi is U + a a^T by construction; the dense
+        # inverse of A_sym is the independent route
         block_gap = np.abs(
-            led.K_isymi[1:, 1:] - (U + np.outer(led.a_vec, led.a_vec))
+            np.linalg.inv(led.A_sym)[1:, 1:] - (U + np.outer(led.a_vec, led.a_vec))
         ).max()
         assert block_gap <= BLOCK_TOL * max(1.0, np.abs(U).max())
 
@@ -217,6 +227,66 @@ class TestRejections:
         assert err.value.key == "inverse-m-matrix"
         assert "(5.849662193001174e-09, -4.8121269815678495e-09)" in str(err.value)
         assert "np." not in str(err.value)
+
+
+def break_coupling_row(eps):
+    """Scale the coupling row A[0, 1:] of the closed-form A by 1 + eps."""
+    closed = symmetrize._extension_inverse
+
+    def broken(*args):
+        A = closed(*args)
+        A[0, 1:] *= 1.0 + eps
+        return A
+    return "_extension_inverse", broken
+
+
+def break_a_vec(eps):
+    """Scale a_vec by 1 + eps where the closed-form K_isymi reads it."""
+    closed = symmetrize._isymi
+    return "_isymi", lambda U, a_vec, nu: closed(U, a_vec * (1.0 + eps), nu)
+
+
+# key -> a fault in one route of its check. On the exp window below the
+# smallest eps caught is 4.1e-9 for the coupling row and 2.7e-8 for a_vec,
+# so FAULT_EPS is well above both
+FAULTS = {
+    "extension-inverse-closed-form": break_coupling_row,
+    "isymi-block-identity": break_a_vec,
+}
+FAULT_EPS = 1e-6
+
+
+def exp_ledger_input():
+    """An exp window from l = 1 at n = 30 with f = U h, h on five labels."""
+    spec = ExpKernel(v=np.arange(1.0, 32.0))
+    U = build_kernel(spec, Window(1, 30))
+    h = np.zeros(30)
+    h[[2, 9, 14, 22, 27]] = [0.5, 1.0, 0.75, 1.25, 0.6]
+    return spec, U, U.entries @ h
+
+
+class TestFaultInjection:
+    @pytest.mark.parametrize("key", sorted(FAULTS))
+    def test_analyze_refuses_a_broken_route(self, key, monkeypatch):
+        _, U, f = exp_ledger_input()
+        analyze(extend(U, f), U, f)
+        monkeypatch.setattr(symmetrize, *FAULTS[key](FAULT_EPS))
+        with pytest.raises(IdentityError) as err:
+            analyze(extend(U, f), U, f)
+        assert err.value.key == key
+
+    @pytest.mark.parametrize("key", sorted(FAULTS))
+    def test_cli_exits_one_on_a_broken_route(self, key, tmp_path, monkeypatch, capsys):
+        spec, _, f = exp_ledger_input()
+        cfg = {"command": "symmetrize", "spec": {"family": "exp", "v": spec.v.tolist()},
+               "window": {"l": 1, "n": 30}, "f": {"values": f.tolist()}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]
+        assert main(argv) == 0
+        monkeypatch.setattr(symmetrize, *FAULTS[key](FAULT_EPS))
+        assert main(argv) == 1
+        assert f"[{key}]" in capsys.readouterr().err
 
 
 def sign_checked_loop(A, inverse_err=0.0):
