@@ -699,11 +699,14 @@ def kept_chain_map(spec, n, cols, chunk):
 
 
 class TestKeptChain:
+    # one kept value per chunk, chunk edges inside every set of 3, and the
+    # streams' chunk, which splits only the adjacent set
+    @pytest.mark.parametrize("chunk", [1, 2, STREAM_CHUNK])
     @pytest.mark.parametrize("kept", sorted(KEPT_CHAIN_COLUMNS))
     @pytest.mark.parametrize("family", KEPT_CHAIN_FAMILIES)
-    def test_identity_draws_give_the_kept_kernel(self, family, kept):
+    def test_identity_draws_give_the_kept_kernel(self, family, kept, chunk):
         spec, cols = STREAMED[family], np.array(KEPT_CHAIN_COLUMNS[kept])
-        R = kept_chain_map(spec, STREAM_N, cols, STREAM_CHUNK)
+        R = kept_chain_map(spec, STREAM_N, cols, chunk)
         assert R.shape == (cols.size, cols.size)
         U = dense_window(spec, Window(0, STREAM_N))[np.ix_(cols, cols)]
         assert np.abs(R.T @ R - U).max() <= 1e-14 * np.abs(U).max()
