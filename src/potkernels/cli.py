@@ -389,6 +389,9 @@ def _run_limsup(cfg, seed, outdir, quiet):
         fw = None
         if "f" in cfg:
             fw = _parse_f(cfg["f"], spec, Window(0, checkpoints[-1]))
+            if f_class == "zero":
+                check("f-class-declared", np.abs(fw).max(), 0.0,
+                      "largest |f[j]| under the declared f_class 'zero'")
         config = ExperimentConfig(
             spec=spec,
             alpha=alpha,

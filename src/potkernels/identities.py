@@ -66,6 +66,7 @@ IDENTITIES = {
     # normalizers
     "growth-normalizer-ceiling": "K_s(j) <= min(log log s[j], log j) up to slack",
     "growth-normalizer-cap-invariance": "K_s(j)/K_{s,M}(j) -> 1 for any cap M",
+    "f-class-declared": "the f sampled meets the declared f_class: 'zero' admits only f = 0",
     "predicted-limsup": "limsup of the normalized sequence equals the predicted constant",
     "gaussian-lil": "running max of eta[j]/sqrt(2 s[j] K_s(j)) tends to 1",
     # symmetrize

@@ -14,7 +14,10 @@ kernel.
 Trend experiments stream running maxima at constant memory per trial. Each
 trial owns a counter-based RNG stream split from the master seed, so trials
 are independent and insensitive to execution order, and identical
-configurations reproduce bitwise-identical reports.
+configurations reproduce bitwise-identical reports. So the trials run on the
+calling thread and on helper threads up to the usable CPUs (`_each_trial`):
+a trial's maxima are the same arithmetic on the same stream on any thread,
+and it writes them to its own row, so every value keeps its bits.
 
 The Gamma-marginal KS harness draws only the indices it tests. For min, exp,
 AR1 and AR1Shifted, whose values at any increasing indices are again a
@@ -26,6 +29,9 @@ Its KS supremum takes the Gamma CDF at knots every KS_KNOT_STRIDE sorted
 points and then only between knots where the supremum can sit (`_ks_gamma`).
 """
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +59,49 @@ def _trial_rng(seed, trial):
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=(int(seed), int(trial))))
     )
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _each_trial(run, trials, out):
+    """out[t] = run(t) for t < trials, on this thread and min(trials, usable
+    CPUs) - 1 helper threads, each taking the next trial in index order.
+
+    After a failure no trial is handed out, so every lower trial has run and
+    the lowest failure is raised, as a serial loop raises it; an interrupt or
+    exit is raised over any failure. The helpers end before this returns or
+    raises; with one worker none starts.
+    """
+    order = iter(range(trials))
+    lock = threading.Lock()
+    failed = {}
+
+    def work():
+        while True:
+            with lock:
+                trial = None if failed else next(order, None)
+            if trial is None:
+                return
+            try:
+                out[trial] = run(trial)
+            except BaseException as exc:
+                with lock:
+                    failed[trial] = exc
+                if not isinstance(exc, Exception):
+                    raise
+
+    helpers = min(trials, _usable_cpus()) - 1
+    with ThreadPoolExecutor(max(helpers, 1), thread_name_prefix="potkernels-trial") as pool:
+        futures = [pool.submit(work) for _ in range(helpers)]
+        work()
+    for future in futures:
+        future.result()
+    if failed:
+        raise failed[min(failed)]
 
 
 def _chunk_size(rows):
@@ -362,6 +411,12 @@ def limsup_experiment(config, prediction=None):
     eta[j]/sqrt(2 s_j K_s(j)) on the grid log_s (indices where K_s is not
     yet positive are skipped) with constant 1. Medians and quartiles over
     trials are reported; no pass/fail at this layer.
+
+    Each trial is one call of `trial_maxima` on its own stream (seed, trial).
+    The trials are handed out in index order to this thread and to
+    min(trials, usable CPUs) - 1 helpers, which overlap the draws and the
+    running maxima, the parts that release the GIL; a failure raises the
+    lowest failing trial's error, as a serial loop would (`_each_trial`).
     """
     cps = tuple(int(c) for c in config.checkpoints)
     if not cps or any(b <= a for a, b in zip(cps, cps[1:])) or cps[0] < 2:
@@ -401,10 +456,12 @@ def limsup_experiment(config, prediction=None):
     a_full = np.sqrt(fw) if fw is not None else None
 
     rows = 1 if lil else k_half
-    raw = np.empty((config.trials, len(cps)))
-    for trial in range(config.trials):
+
+    def trial_maxima(trial):
+        # the running maximum at each checkpoint, from the stream (seed, trial)
         rng = _trial_rng(config.seed, trial)
         xi = rng.standard_normal(rows)
+        out = np.empty(len(cps))
         carry = -np.inf
         cp_pos = 0
         j0 = 0
@@ -415,13 +472,20 @@ def limsup_experiment(config, prediction=None):
             else:
                 if a_full is not None:
                     block = block + a_full[j0 : j0 + m][None, :] * xi[:, None]
-                X = (block**2).sum(axis=0) / 2.0
-            acc = np.maximum(np.maximum.accumulate(X), carry)
+                X = np.square(block).sum(axis=0)
+                X /= 2.0
+            # in place: each thread's malloc arena keeps what it frees
+            acc = np.maximum.accumulate(X, out=X)
+            np.maximum(acc, carry, out=acc)
             while cp_pos < len(cps) and cps[cp_pos] <= j0 + m:
-                raw[trial, cp_pos] = acc[cps[cp_pos] - j0 - 1]
+                out[cp_pos] = acc[cps[cp_pos] - j0 - 1]
                 cp_pos += 1
             carry = acc[-1]
             j0 += m
+        return out
+
+    raw = np.empty((config.trials, len(cps)))
+    _each_trial(trial_maxima, config.trials, raw)
     check("trend-direction", -np.diff(raw, axis=1).min(initial=0.0), 0.0,
           "largest fall of a running maximum as N grows")
     normalized = raw / phi_at[None, :]

@@ -22,6 +22,7 @@ def _floats(values):
 
 
 N_LIMSUP = 100_000
+N_LIMSUP_F = 20_000
 
 CASES = {
     "invert-min-300": {
@@ -55,6 +56,15 @@ CASES = {
         "alpha": 0.5,
         "hypotheses": {"f_class": "zero", "alpha": 0.5, "gaps": "separated"},
         "checkpoints": [1_000, 10_000, N_LIMSUP], "trials": 21, "seed": 5,
+    },
+    # the only pinned run with an f: it adds sqrt(f) xi to every path
+    "limsup-exp-f-2e4": {
+        "command": "limsup",
+        "spec": {"family": "exp", "v": _floats(1.0 + np.arange(N_LIMSUP_F))},
+        "alpha": 1.5,
+        "hypotheses": {"f_class": "c0", "alpha": 1.5, "gaps": "separated"},
+        "f": {"values": _floats(0.5 / np.sqrt(np.arange(1, N_LIMSUP_F + 1)))},
+        "checkpoints": [200, 2_000, N_LIMSUP_F], "trials": 4, "seed": 6,
     },
     "validate-min-f": {
         "command": "validate",
@@ -107,6 +117,10 @@ DIGESTS = {
     "limsup-exp-1e5": {
         "limsup.json": "9fa596e0f7b51afc403c02ac2f5eec5a37b35d4fa4a74fc6f2578d3360d88f4a",
         "trend.csv": "f4cfcb068e5b98e77088384e99e971e3f613c74e86e4e8b0cf82ccb28c33d6f9",
+    },
+    "limsup-exp-f-2e4": {
+        "limsup.json": "db19811d9607336791452bd24aa17b0f8de9796314c73e293b9a7d394894c4f1",
+        "trend.csv": "81542055692cc9bd27ae6f13053ec97a0a1c1ab4d4fdc40ab3ff552441357f57",
     },
     "phi-complex-2e3": {
         "phi.csv": "a782fb528352589df96ce926c2390575a75f47332813622ad212e7dce8d86b77",

@@ -623,6 +623,34 @@ class TestLimsup:
         assert code == 2
         assert "no matching limit theorem" in capsys.readouterr().err
 
+    @staticmethod
+    def f_config(f_class, f_value):
+        # exp with unit gaps and a constant f over checkpoints 100/1000/2000
+        return {
+            "command": "limsup",
+            "spec": {"family": "exp", "v": [float(j) for j in range(2000)]},
+            "alpha": 0.5,
+            "hypotheses": {"f_class": f_class, "alpha": 0.5, "gaps": "separated"},
+            "f": {"values": [f_value] * 2000},
+            "checkpoints": [100, 1000, 2000],
+            "trials": 21,
+            "seed": 3,
+        }
+
+    def test_declared_zero_class_with_nonzero_f_exits_one(self, tmp_path, capsys):
+        # the band reads U[j,j] alone, so f = 50 put every median far above it
+        code, outdir = run_cli(tmp_path, self.f_config("zero", 50.0))
+        assert code == 1
+        assert ("[f-class-declared] largest |f[j]| under the declared f_class 'zero' "
+                "5.000e+01 exceeds 0") in capsys.readouterr().err
+        assert not outdir.exists() or not any(outdir.iterdir())
+
+    @pytest.mark.parametrize("f_class, f_value", [("zero", 0.0), ("c0", 50.0)])
+    def test_f_that_meets_its_declared_class_runs(self, tmp_path, f_class, f_value):
+        code, outdir = run_cli(tmp_path, self.f_config(f_class, f_value))
+        assert code == 0
+        assert read_json(outdir, "limsup.json")["prediction"]["theorem"] == "exp-separated-gaps"
+
 
 class TestSymmetrize:
     def symmetrize_config(self, f_values):

@@ -1,5 +1,8 @@
 """Seeded samplers, marginal tests, trend experiments, and subsequences."""
 
+import dataclasses
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -40,6 +43,7 @@ from potkernels import (
     sparse_subsequence,
 )
 from potkernels import mcsim
+from potkernels.normalizers import koval
 
 
 def covariance_zscores(spec, n, seed, trials):
@@ -515,6 +519,270 @@ class TestTrendExperiment:
         )
         with pytest.raises(ValueError):
             limsup_experiment(cfg, pred)
+
+
+def serial_trend_maxima(config):
+    """Reference: the raw running maxima of `limsup_experiment`, from its
+    trial loop as it ran before the trials were handed out to threads, one
+    trial after another on this thread."""
+    cps = tuple(int(c) for c in config.checkpoints)
+    n_max = cps[-1]
+    lil = config.mode == "gaussian-lil"
+    if lil:
+        logs = np.asarray(config.log_s, dtype=float)
+        stream_spec = ExpKernel(v=logs / 2.0)
+        ratio_norm = np.full(n_max, np.inf)
+        kvals = 2.0 * koval(log_s=logs, j=np.arange(2, n_max + 1))
+        ratio_norm[1:] = np.where(kvals > 0, np.sqrt(np.maximum(kvals, 0)), np.inf)
+        k_half = 1
+    else:
+        k_half = mcsim._k_half(config.alpha)
+        stream_spec = config.spec
+    fw = None
+    if not lil and config.f is not None:
+        fw = mcsim._f_values(config.f, 0, n_max)
+        if not fw.any():
+            fw = None
+    a_full = np.sqrt(fw) if fw is not None else None
+
+    rows = 1 if lil else k_half
+    raw = np.empty((config.trials, len(cps)))
+    for trial in range(config.trials):
+        rng = mcsim._trial_rng(config.seed, trial)
+        xi = rng.standard_normal(rows)
+        carry = -np.inf
+        cp_pos = 0
+        j0 = 0
+        for block in mcsim._path_stream(stream_spec, n_max, rng, rows):
+            m = block.shape[1]
+            if lil:
+                X = block[0] / ratio_norm[j0 : j0 + m]
+            else:
+                if a_full is not None:
+                    block = block + a_full[j0 : j0 + m][None, :] * xi[:, None]
+                X = (block**2).sum(axis=0) / 2.0
+            acc = np.maximum(np.maximum.accumulate(X), carry)
+            while cp_pos < len(cps) and cps[cp_pos] <= j0 + m:
+                raw[trial, cp_pos] = acc[cps[cp_pos] - j0 - 1]
+                cp_pos += 1
+            carry = acc[-1]
+            j0 += m
+    return raw
+
+
+class UnitPrediction:
+    """A prediction with normalizer 1: the report's raw maxima are its values."""
+
+    constant, theorem = 1.0, "unit"
+
+    @staticmethod
+    def normalizer(j):
+        return np.ones(np.shape(j))
+
+
+N_TRIAL = 2000
+_trial_coef = np.random.default_rng(29)
+TRIAL_SPECS = {
+    "exp-even": ExpKernel(v=0.5 * np.arange(N_TRIAL)),
+    "exp-uneven": ExpKernel(v=np.cumsum(_trial_coef.uniform(0.1, 1.5, N_TRIAL))),
+    "ar1-constant": AR1(x=np.full(N_TRIAL - 1, 0.5)),
+    "ar1-varying": AR1(x=np.sort(_trial_coef.uniform(0.3, 0.9, N_TRIAL - 1))),
+    "ark": ARk(p=(0.5, 0.25)),
+}
+TRIAL_CONFIGS = {
+    **{f"{name}-alpha{alpha}-{f_name}": ExperimentConfig(
+        spec=spec, alpha=alpha, checkpoints=(100, 1000, N_TRIAL), trials=5, seed=17,
+        f=None if f_name == "no-f" else 0.5 / np.sqrt(np.arange(1.0, N_TRIAL + 1)))
+       for name, spec in TRIAL_SPECS.items()
+       for alpha in (0.5, 1.0, 1.5)
+       for f_name in ("no-f", "f")},
+    "gaussian-lil": ExperimentConfig(
+        spec=None, alpha=None, checkpoints=(100, 1000, N_TRIAL), trials=5, seed=17,
+        mode="gaussian-lil", log_s=np.arange(1, N_TRIAL + 1) * np.log(2.0)),
+}
+
+
+def run_trials(config, trials):
+    config = dataclasses.replace(config, trials=trials)
+    pred = None if config.mode == "gaussian-lil" else UnitPrediction
+    return limsup_experiment(config, pred).raw_max
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(mcsim.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def trial_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("potkernels-trial")]
+
+
+class TestTrialHandout:
+    @pytest.mark.parametrize("case", sorted(TRIAL_CONFIGS))
+    def test_matches_the_serial_loop(self, case, monkeypatch):
+        # one chunk of 2000 columns, or chunks of 300 that a checkpoint splits
+        config = TRIAL_CONFIGS[case]
+        for chunk in (None, 300):
+            with monkeypatch.context() as mp:
+                if chunk:
+                    mp.setattr(mcsim, "_chunk_size", lambda rows: chunk)
+                ref = serial_trend_maxima(config)
+                for cpus in (1, 2, 3):
+                    usable_cpus(mp, cpus)
+                    for trials in (1, 2, 3, 5):
+                        got = run_trials(config, trials)
+                        assert np.array_equal(got, ref[:trials]), (chunk, cpus, trials)
+
+    def test_f_moves_the_maxima(self):
+        # so the cases with f run the branch that adds sqrt(f) xi
+        base = TRIAL_CONFIGS["exp-even-alpha1.5-no-f"]
+        shifted = TRIAL_CONFIGS["exp-even-alpha1.5-f"]
+        assert not np.array_equal(run_trials(base, 2), run_trials(shifted, 2))
+
+    @pytest.mark.parametrize("cpus, trials", [(3, 5), (3, 2), (2, 7)])
+    def test_caller_and_helpers_share_the_trials(self, cpus, trials, monkeypatch):
+        # each of the first `workers` trials waits for the others, so no worker
+        # takes two of them: the caller runs one, and no more are in flight
+        usable_cpus(monkeypatch, cpus)
+        workers = min(cpus, trials)
+        barrier = threading.Barrier(workers, timeout=30)
+        lock, live, peak, ran_on = threading.Lock(), [0], [0], {}
+
+        def run(trial):
+            with lock:
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+                ran_on[trial] = threading.current_thread()
+            if trial < workers:
+                barrier.wait()
+            with lock:
+                live[0] -= 1
+            return trial
+
+        out = np.full(trials, -1)
+        mcsim._each_trial(run, trials, out)
+        assert out.tolist() == list(range(trials))
+        assert peak[0] == workers
+        first = {ran_on[t] for t in range(workers)}
+        assert len(first) == workers and threading.current_thread() in first
+        assert all(t.name.startswith("potkernels-trial")
+                   for t in first - {threading.current_thread()})
+        assert trial_threads() == []
+
+    @pytest.mark.parametrize("cpus, trials", [(1, 5), (3, 1)])
+    def test_one_worker_starts_no_thread(self, cpus, trials, monkeypatch):
+        usable_cpus(monkeypatch, cpus)
+        seen = []
+        trial_rng = mcsim._trial_rng
+
+        def watched(seed, trial):
+            seen.append((threading.current_thread(), trial_threads()))
+            return trial_rng(seed, trial)
+
+        monkeypatch.setattr(mcsim, "_trial_rng", watched)
+        config = TRIAL_CONFIGS["ar1-varying-alpha1.0-f"]
+        got = run_trials(config, trials)
+        assert seen == [(threading.current_thread(), [])] * trials
+        assert np.array_equal(got, serial_trend_maxima(config)[:trials])
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("failing", [(0,), (2,), (4,), (1, 3)])
+    def test_lowest_failing_trial_is_raised(self, cpus, failing, monkeypatch):
+        usable_cpus(monkeypatch, cpus)
+        trial_rng = mcsim._trial_rng
+
+        started = []
+
+        def failing_rng(seed, trial):
+            started.append(trial)
+            if trial in failing:
+                raise RuntimeError(f"trial {trial} failed")
+            return trial_rng(seed, trial)
+
+        config = TRIAL_CONFIGS["exp-uneven-alpha0.5-f"]
+        with monkeypatch.context() as mp:
+            mp.setattr(mcsim, "_trial_rng", failing_rng)
+            with pytest.raises(RuntimeError, match=f"^trial {failing[0]} failed$"):
+                run_trials(config, 5)
+        if cpus == 1:       # no trial is handed out after a failure
+            assert started == list(range(failing[0] + 1))
+        # no helper outlives the call, and a later call runs as before
+        assert trial_threads() == []
+        assert np.array_equal(run_trials(config, 5), serial_trend_maxima(config))
+
+    def test_lower_failure_is_raised_when_a_higher_one_ends_first(self, monkeypatch):
+        # trial 1 fails only after trial 2, handed out later, has failed
+        usable_cpus(monkeypatch, 2)
+        higher_failed = threading.Event()
+
+        def run(trial):
+            if trial == 1:
+                assert higher_failed.wait(timeout=30)
+            elif trial == 2:
+                higher_failed.set()
+            if trial:
+                raise ValueError(f"trial {trial} failed")
+            return 0.0
+
+        with pytest.raises(ValueError, match="^trial 1 failed$"):
+            mcsim._each_trial(run, 4, np.zeros(4))
+        assert trial_threads() == []
+
+    @pytest.mark.parametrize("on_caller", [True, False])
+    def test_interrupt_is_raised_over_a_lower_failure(self, on_caller, monkeypatch):
+        # trials 0 and 1 start together, one on each thread; one thread is
+        # interrupted (at trial 1, or at trial 2 after finishing trial 0) and
+        # the other then fails its lower trial: the interrupt still wins
+        usable_cpus(monkeypatch, 2)
+        caller = threading.current_thread()
+        barrier = threading.Barrier(2, timeout=30)
+        interrupted = threading.Event()
+
+        def run(trial):
+            if trial < 2:
+                barrier.wait()
+            if (threading.current_thread() is caller) != on_caller:
+                assert interrupted.wait(timeout=30)
+                raise ValueError(f"trial {trial} failed")
+            if trial == 0:
+                return 0.0
+            interrupted.set()
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            mcsim._each_trial(run, 3, np.zeros(3))
+        assert trial_threads() == []
+
+    def test_stress_each_trial_runs_once(self, monkeypatch):
+        # more workers than cores and a switch every microsecond: a trial
+        # handed out twice or lost breaks the count or the output
+        usable_cpus(monkeypatch, 8)
+        ran = []
+
+        def run(trial):
+            ran.append(trial)
+            return float(np.sqrt(float(trial)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                ran.clear()
+                out = np.full(200, -1.0)
+                mcsim._each_trial(run, 200, out)
+                assert sorted(ran) == list(range(200))
+                assert np.array_equal(out, np.sqrt(np.arange(200.0)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert trial_threads() == []
+
+    def test_usable_cpus_falls_back_to_the_cpu_count(self, monkeypatch):
+        usable_cpus(monkeypatch, 3)
+        assert mcsim._usable_cpus() == 3
+        monkeypatch.delattr(mcsim.os, "sched_getaffinity")
+        monkeypatch.setattr(mcsim.os, "cpu_count", lambda: 5)
+        assert mcsim._usable_cpus() == 5
+        monkeypatch.setattr(mcsim.os, "cpu_count", lambda: None)
+        assert mcsim._usable_cpus() == 1
 
 
 def bisection_band(diag, phi_at_n, alpha, trials, coverage=0.95):
