@@ -14,8 +14,10 @@ per-index coefficients, from a fresh copy of u each round: on a KS cell's
 columns, past the column loop's cap of 8, and on 21 rows of 65536 columns,
 a trend stream's few long rows. `test_stream` times the bare stream
 at the larger size, 3 x 10^5 rows of 30 steps of the exp recurrence, drawn
-and filtered with nothing after it, keeping all 30 columns (`all`) or the
-three that the KS harness reads (`ks`). Both tests also run the call once
+and filtered in row tiles on the calling thread with nothing after it,
+keeping all 30 columns (`all`) or the three that the KS harness reads
+(`ks`), and at the shape of a `simulate` command, 10^4 rows of 40 steps
+with all columns kept (`simulate`). Both tests also run the call once
 under `tracemalloc`, apart from the timed calls, and write its peak in MiB
 to `extra_info["tracemalloc_peak_mib"]`: a wide stream holds one (rows,
 kept) block per chunk, so the peak follows the kept columns, not the 30
@@ -109,17 +111,22 @@ def consume_stream(spec, rows, n, cols):
     return last
 
 
-# the stream's kept columns: all 30, or the 0-based KS indices
-STREAM_COLUMNS = {"all": None, "ks": np.array(INDICES) - 1}
+# (rows, steps, kept columns) of the stream: the larger KS cell with all 30
+# columns or the 0-based KS indices, and a `simulate` command's batch
+STREAM_SHAPES = {
+    "all": (3 * SAMPLES, 30, None),
+    "ks": (3 * SAMPLES, 30, np.array(INDICES) - 1),
+    "simulate": (10_000, KS_N, None),
+}
 
 
-@pytest.mark.parametrize("kept", sorted(STREAM_COLUMNS))
-def test_stream(benchmark, kept):
-    args = (KS_FAMILIES["exp"](KS_N), 3 * SAMPLES, 30, STREAM_COLUMNS[kept])
+@pytest.mark.parametrize("shape", sorted(STREAM_SHAPES))
+def test_stream(benchmark, shape):
+    rows, n, cols = STREAM_SHAPES[shape]
+    args = (KS_FAMILIES["exp"](KS_N), rows, n, cols)
     benchmark.extra_info["tracemalloc_peak_mib"] = traced_peak_mib(consume_stream, *args)
     last = benchmark(consume_stream, *args)
-    width = 30 if STREAM_COLUMNS[kept] is None else len(INDICES)
-    assert last.shape == (3 * SAMPLES, width)
+    assert last.shape == (rows, n if cols is None else cols.size)
 
 
 # (rows, columns) of the k = 1 recurrence

@@ -408,7 +408,7 @@ def _run_limsup(cfg, seed, outdir, quiet):
             "report": report.to_json(),
         }
         if trials % 2 == 1:
-            lo, hi = calibration_band(spec, outcome, alpha, checkpoints[-1], trials)
+            lo, hi = calibration_band(spec, outcome, alpha, checkpoints[-1], trials, f=fw)
             doc["band"] = {
                 "low": _q(lo, "trend-band"),
                 "high": _q(hi, "trend-band"),

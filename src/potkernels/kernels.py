@@ -13,8 +13,9 @@ functions call after checking `admissibility()`:
 - `path_stream(n_max, rng, rows, chunk, cols=None)`: chunked Gaussian paths
   with the kernel as covariance at the sorted 0-based columns `cols` (all by
   default): the chain's recurrence, one `argen.linear_recurrence` per
-  chunk, the killed walk's solve with the band Cholesky factor of its
-  precision, and the base's refusal for rank-one updates;
+  row tile of a chunk, the killed walk's solve with the band Cholesky
+  factor of its precision, and the base's refusal for rank-one updates.
+  Every stream is one loop on the calling thread (`_filtered_chunks`);
 - `_kept_chain(cols)`: for min, exp, AR1 and AR1Shifted, the values at the
   sorted 0-based `cols` as a Markov chain of their own, which the KS harness
   draws alone (`mcsim._path_stream`); None for every other family;
@@ -45,7 +46,6 @@ and potential expand; it has no windows, and takes only its whole lattice.
 """
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from numbers import Integral, Real
@@ -119,10 +119,6 @@ def _part(c, j0, m):
     return c if np.ndim(c) == 0 else c[j0 : j0 + m]
 
 
-def _fill(out, rows, filt, g, j0, take):
-    out[rows] = filt(g, j0, rows)[:, take]
-
-
 def _filtered_chunks(rng, rows, n_max, chunk, filt, cols=None):
     """Chunks of filtered Gaussian innovations, drawn in row tiles.
 
@@ -130,41 +126,28 @@ def _filtered_chunks(rng, rows, n_max, chunk, filt, cols=None):
     the chunk starting at column j0, and carries their state into the next
     chunk. A chunk keeps its columns among the sorted 0-based `cols` (all
     by default), maybe none, with every draw and call made as for all. A
-    chunk of at most ROW_TILE rows is one draw and one call. A wider chunk
-    is drawn in tiles of ROW_TILE rows, each a block of consecutive rows,
-    so the draws are the values of one (rows, m) draw; a band solve never
-    mixes rows, so the filtered tiles are the values of one call on the
-    whole chunk too. While this thread draws tile k + 1, a helper thread
-    that the stream owns filters tile k and writes its kept columns into
-    the chunk: a wide chunk is (rows, kept), never (rows, m). The band
-    solve holds the GIL and the draw does not, so the two overlap only in
-    part. At most one tile is in flight, every tile is done before the
-    chunk is yielded, and only this thread touches rng. Leaving the stream,
-    by a raise or by closing it, waits for a pending tile and ends the helper.
+    chunk of at most ROW_TILE rows is one draw and one call, yielded as it
+    is filtered. A wider chunk is drawn in tiles of ROW_TILE rows, each a
+    block of consecutive rows, so the draws are the values of one (rows, m)
+    draw; a band solve never mixes rows, so the filtered tiles are the
+    values of one call on the whole chunk too. Each tile is filtered as
+    it is drawn and its kept columns written into the chunk, so a wide
+    chunk is (rows, kept), never (rows, m). All of it runs on this thread.
     """
-    def kept(j0, m):     # the chunk's kept columns and their count
+    for j0, m in _chunks(n_max, chunk):
         if cols is None:
-            return slice(None), m
-        take = cols[np.searchsorted(cols, j0) : np.searchsorted(cols, j0 + m)] - j0
-        return take, take.size
-
-    if rows <= ROW_TILE:
-        for j0, m in _chunks(n_max, chunk):
-            yield filt(rng.standard_normal((rows, m)), j0, slice(None))[:, kept(j0, m)[0]]
-        return
-    with ThreadPoolExecutor(1, thread_name_prefix="potkernels-filter") as helper:
-        for j0, m in _chunks(n_max, chunk):
-            take, width = kept(j0, m)
-            out = np.empty((rows, width))
-            pending = None
-            for lo in range(0, rows, ROW_TILE):
-                tile = slice(lo, min(lo + ROW_TILE, rows))
-                g = rng.standard_normal((tile.stop - lo, m))
-                if pending is not None:
-                    pending.result()
-                pending = helper.submit(_fill, out, tile, filt, g, j0, take)
-            pending.result()
-            yield out
+            take, width = slice(None), m
+        else:
+            take = cols[np.searchsorted(cols, j0) : np.searchsorted(cols, j0 + m)] - j0
+            width = take.size
+        if rows <= ROW_TILE:
+            yield filt(rng.standard_normal((rows, m)), j0, slice(None))[:, take]
+            continue
+        out = np.empty((rows, width))
+        for lo in range(0, rows, ROW_TILE):
+            tile = slice(lo, min(lo + ROW_TILE, rows))
+            out[tile] = filt(rng.standard_normal((tile.stop - lo, m)), j0, tile)[:, take]
+        yield out
 
 
 def _stream_recurrence(c, scale, history, rng, rows, n_max, chunk, cols=None, first_scale=1.0):
@@ -754,10 +737,12 @@ class AR1(_Chain):
         return _stored(self.x, hi - 1, "x")[None, lo - 1 :], np.ones(hi - lo)
 
     def path_stream(self, n_max, rng, rows, chunk, cols=None, first_scale=1.0):
-        # xi[1] = first_scale g[1], xi[n] = x[n-1] xi[n-1] + g[n]
-        a = np.concatenate(([0.0], _stored(self.x, n_max - 1, "x")))
+        # xi[1] = first_scale g[1], xi[n] = x[n-1] xi[n-1] + g[n]; c[0] meets
+        # only the zero history, so a constant x is one (1, 1) column
+        x = _stored(self.x, n_max - 1, "x")
+        a = x[:1, None] if x.size and np.ptp(x) == 0 else np.concatenate(([0.0], x))[None]
         yield from _stream_recurrence(
-            a[None], 1.0, np.zeros((rows, 1)), rng, rows, n_max, chunk, cols, first_scale
+            a, 1.0, np.zeros((rows, 1)), rng, rows, n_max, chunk, cols, first_scale
         )
 
     def prediction(self, f_class, alpha, **declared):

@@ -21,10 +21,10 @@ and it writes them to its own row, so every value keeps its bits.
 
 The Gamma-marginal KS harness draws only the indices it tests. For min, exp,
 AR1 and AR1Shifted, whose values at any increasing indices are again a
-Gaussian Markov chain, that chain is drawn alone (`_Chain._kept_chain`), one
-(rows, kept) draw per chunk on this thread; every other family draws its full
-stream, and a helper thread that the stream owns filters each row tile of a
-wide batch and writes just the tested columns (`kernels._filtered_chunks`).
+Gaussian Markov chain, that chain is drawn alone (`_Chain._kept_chain`);
+every other family draws its full stream and keeps just the tested columns
+of each row tile. Both are the one stream of `kernels._filtered_chunks`, a
+loop on the calling thread.
 Its KS supremum takes the Gamma CDF at knots every KS_KNOT_STRIDE sorted
 points and then only between knots where the supremum can sit (`_ks_gamma`).
 """
@@ -39,8 +39,7 @@ from scipy.special import betainc, betaincinv, gammainc, gammaincc, gammaln
 
 from .excessive import PotentialFunction
 from .identities import IdentityError, InputError, check
-from .argen import linear_recurrence
-from .kernels import ExpKernel, Window, _chunks, build_kernel
+from .kernels import ExpKernel, Window, _stream_recurrence, build_kernel
 from .normalizers import koval
 from .symmetrize import _as_values, analyze, extend, sandwich_factor
 
@@ -113,29 +112,20 @@ def _path_stream(spec, n_max, rng, rows, chunk=None, cols=None, thin=False):
     the sorted 0-based columns `cols` (all by default); the one route of every
     sampler (`KernelSpec.path_stream` refuses the rest). With `thin` and
     `cols`, an order-1 chain draws only its values at `cols`, as the chain
-    that they form (`_Chain._kept_chain`): other draws with the same law."""
+    that they form (`_Chain._kept_chain`): other draws with the same law,
+    through the same stream."""
     spec.admissibility().require()
     chunk = chunk or _chunk_size(rows)
     if not thin or spec._kept_chain is None:
         return spec.path_stream(n_max, rng, rows, chunk, cols)
-    return _kept_chain_stream(*spec._kept_chain(cols), rng, rows, chunk)
-
-
-def _kept_chain_stream(A, sd, rng, rows, chunk):
-    """y[i] = A[i] y[i-1] + sd[i] g, one (rows, m) draw per chunk filtered on
-    this thread: `_stream_recurrence`'s values, without its row tiles."""
-    y = np.zeros((rows, 1))
-    for j0, m in _chunks(A.size, chunk):
-        g = rng.standard_normal((rows, m))
-        g *= sd[j0 : j0 + m]
-        y = linear_recurrence(A[None, j0 : j0 + m], g, y[:, -1:].copy())
-        yield y
+    A, sd = spec._kept_chain(cols)
+    return _stream_recurrence(A[None], sd, np.zeros((rows, 1)), rng, rows, A.size, chunk)
 
 
 def _gaussian_paths(spec, n_max, rng, rows, cols=None, thin=False):
     """rows Gaussian paths of n_max steps at the sorted 0-based columns `cols`
-    (all by default), which the stream alone keeps (`kernels._filtered_chunks`),
-    or draws alone with `thin` (`_path_stream`)."""
+    (all by default), which the stream keeps as it filters each row tile
+    (`kernels._filtered_chunks`), or draws alone with `thin` (`_path_stream`)."""
     width = n_max if cols is None else cols.size
     if rows * width * 8 > np.iinfo(np.intp).max:     # numpy's largest array
         raise InputError(f"{rows} rows x {width} columns of paths exceed one array")
@@ -585,9 +575,11 @@ def analytic_median_band(diag, phi_at_n, alpha, trials, coverage=0.95):
         return lo, edge(1.0 - tail, np.log(lo))
 
 
-def calibration_band(spec, prediction, alpha, n_max, trials, coverage=0.95):
-    """Analytic band for a permanental trend experiment at size n_max."""
-    diag = kernel_diagonal(spec, n_max)
+def calibration_band(spec, prediction, alpha, n_max, trials, coverage=0.95, f=None):
+    """Analytic band for a permanental trend experiment at size n_max, over
+    the diagonal that its trials sample, U[j,j] + f[j] (f as `ExperimentConfig`
+    takes it)."""
+    diag = kernel_diagonal(spec, n_max) + _f_values(f, 0, n_max)
     phi_at_n = float(np.asarray(prediction.normalizer(n_max)))
     return analytic_median_band(diag, phi_at_n, alpha, trials, coverage)
 

@@ -638,7 +638,7 @@ class TestLimsup:
         }
 
     def test_declared_zero_class_with_nonzero_f_exits_one(self, tmp_path, capsys):
-        # the band reads U[j,j] alone, so f = 50 put every median far above it
+        # f = 50 contradicts the declared class 'zero'; nothing is written
         code, outdir = run_cli(tmp_path, self.f_config("zero", 50.0))
         assert code == 1
         assert ("[f-class-declared] largest |f[j]| under the declared f_class 'zero' "
@@ -650,6 +650,23 @@ class TestLimsup:
         code, outdir = run_cli(tmp_path, self.f_config(f_class, f_value))
         assert code == 0
         assert read_json(outdir, "limsup.json")["prediction"]["theorem"] == "exp-separated-gaps"
+
+    def test_band_reads_the_sampled_diagonal(self, tmp_path):
+        # the trials sample Gamma(alpha, U[j,j] + f[j]); with an uneven f the
+        # band over that diagonal is not the band over U[j,j] alone
+        cfg = dict(self.f_config("c0", 0.0), trials=5)
+        f = [2.0 / np.sqrt(j) for j in range(1, 2001)]
+        cfg["f"] = {"values": f}
+        code, outdir = run_cli(tmp_path, cfg)
+        assert code == 0
+        doc = read_json(outdir, "limsup.json")
+        spec = kernels.KernelSpec.from_config(cfg["spec"])
+        phi = float(potkernels.predict(spec, "c0", 0.5, gaps="separated").normalizer(2000))
+        diag = potkernels.kernel_diagonal(spec, 2000)
+        band = (doc["band"]["low"]["value"], doc["band"]["high"]["value"])
+        assert band == potkernels.analytic_median_band(diag + np.array(f), phi, 0.5, 5)
+        lo, hi = potkernels.analytic_median_band(diag, phi, 0.5, 5)
+        assert band[0] > lo and band[1] > hi
 
 
 class TestSymmetrize:
@@ -998,6 +1015,45 @@ class TestErrorPaths:
         code, _ = run_cli(tmp_path, cfg)
         assert code == 1
         assert "q-matrix-signs" in capsys.readouterr().err
+
+    def test_inverse_residual_is_refused(self, tmp_path, capsys, monkeypatch):
+        # a closed inverse off by a factor 1 + 1e-6 passes the condition
+        # check and fails only the residual, 1e-6 against 1.44e-10
+        closed = kernels.MinKernel._window_precision
+        monkeypatch.setattr(kernels.MinKernel, "_window_precision",
+                            lambda self, window: closed(self, window) * (1 + 1e-6))
+        spec = min_spec(9)
+        with pytest.raises(potkernels.IdentityError) as err:
+            kernels.window_inverse(kernels.KernelSpec.from_config(spec), kernels.Window(0, 8))
+        assert err.value.key == "window-inverse-identity"
+        cfg = {"command": "invert", "spec": spec, "window": {"l": 0, "n": 8}}
+        code, outdir = run_cli(tmp_path, cfg)
+        assert code == 1
+        assert "[window-inverse-identity] inverse residual 1.000e-06" in capsys.readouterr().err
+        assert not (outdir / "inverse.csv").exists()
+
+    @pytest.mark.parametrize("key, dip", [
+        # b lower at an interior index: Q has a positive interior row sum
+        ("q-matrix-signs", [3]),
+        # b lower from the window's last index on: only the generator's
+        # boundary row, which the sign check excuses, sees the drop, and
+        # the window inverse's last row sums below zero
+        ("inverse-m-matrix", [7, 8]),
+    ])
+    def test_scaled_min_with_a_dip_in_b_is_refused(self, tmp_path, capsys, key, dip):
+        # the dualities hold exactly, so only the sign check can refuse
+        b = [1.0] * 9
+        for j in dip:
+            b[j] = 1.0 - 1e-6
+        cfg = {"command": "validate", "window": {"l": 0, "n": 8},
+               "spec": {"family": "scaled_min", "s": [float(j) for j in range(1, 10)], "b": b}}
+        code, outdir = run_cli(tmp_path, cfg)
+        assert code == 1
+        assert f"error: [{key}]" in capsys.readouterr().err
+        assert not (outdir / "validate.json").exists()
+        code, _ = run_cli(tmp_path, dict(cfg, spec=dict(cfg["spec"], b=[1.0] * 9)),
+                          outname="flat")
+        assert code == 0
 
 
 class TestOutDirResolution:

@@ -187,6 +187,18 @@ class TestAR1:
         with pytest.raises(ValueError):
             AR1(x=[0.9, 0.5])
 
+    @pytest.mark.parametrize("rows", [1, 3, 5000])
+    def test_constant_x_streams_as_one_column(self, rows):
+        # c[0] multiplies only the zero history, so one (1, 1) column gives
+        # the bits of the per-index row [0, x, x, ...]; 5000 rows take two tiles
+        x = np.full(STREAM_N - 1, 0.3)
+        ref = kernels._stream_recurrence(
+            np.concatenate(([0.0], x))[None], 1.0, np.zeros((rows, 1)), CallerThreadRng(3),
+            rows, STREAM_N, STREAM_CHUNK,
+        )
+        got = AR1(x=x).path_stream(STREAM_N, CallerThreadRng(3), rows, STREAM_CHUNK)
+        assert all(same_bits(g, r) for g, r in zip(got, ref, strict=True))
+
     @settings(max_examples=200, deadline=None)
     @given(
         levels=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4),
@@ -514,20 +526,38 @@ class TestTiledStreams:
             stream = STREAMED["ar1"].path_stream(STREAM_N, CallerThreadRng(1), 5, 7)
             with pytest.raises(RuntimeError, match="filter failed"):
                 next(stream)
-        assert ran_on and threading.current_thread() not in ran_on
+        assert ran_on
         # a later stream runs as before, and no helper outlives its stream
         ref = untiled_stream(STREAMED["ar1"], 5, 1, monkeypatch)
         got = list(STREAMED["ar1"].path_stream(STREAM_N, CallerThreadRng(1), 5, 7))
         assert_stream_equal(got, ref)
         assert filter_threads() == []
 
-    def test_closed_stream_ends_its_helper(self, monkeypatch):
+    def test_wide_stream_runs_on_the_caller(self, monkeypatch):
+        # 5 rows in tiles of 2: every draw and every filter call is made on
+        # this thread, and no thread is started
+        ref = untiled_stream(STREAMED["ar1"], 5, 1, monkeypatch)
+        drawn_on, filtered_on, started = [], [], []
+        recurrence, start = kernels.linear_recurrence, threading.Thread.start
+
+        class CountedRng(CallerThreadRng):
+            def standard_normal(self, *args, **kwargs):
+                drawn_on.append(threading.current_thread())
+                return super().standard_normal(*args, **kwargs)
+
+        def recorded(c, u, history):
+            filtered_on.append(threading.current_thread())
+            return recurrence(c, u, history)
+
         monkeypatch.setattr(kernels, "ROW_TILE", 2)
-        stream = STREAMED["ar1"].path_stream(STREAM_N, CallerThreadRng(1), 5, 7)
-        next(stream)
-        assert len(filter_threads()) == 1
-        stream.close()
-        assert filter_threads() == []
+        monkeypatch.setattr(kernels, "linear_recurrence", recorded)
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: started.append(self.name) or start(self))
+        got = list(STREAMED["ar1"].path_stream(STREAM_N, CountedRng(1), 5, 7))
+        assert_stream_equal(got, ref)
+        assert started == []
+        assert len(drawn_on) == len(filtered_on) == 3 * 3
+        assert set(drawn_on) == set(filtered_on) == {threading.current_thread()}
 
     def test_forked_child_starts_its_own_helper(self, monkeypatch):
         # a child forked after a wide stream ran must still stream
@@ -586,7 +616,7 @@ class TestKeptColumns:
     @pytest.mark.parametrize("family", sorted(KEPT_STREAMED))
     def test_kept_columns_are_the_full_streams_columns(self, family, kept, tile,
                                                        monkeypatch):
-        # rows above the tile width take the helper thread's wide branch
+        # rows above the tile width take the tiled branch
         spec = KEPT_STREAMED[family]
         n = STREAM_N - (family == "killed_walk")     # the walk's 2R + 1 sites
         cols = np.array([c for c in KEPT_COLUMNS[kept] if c < n])
@@ -698,6 +728,18 @@ def kept_chain_map(spec, n, cols, chunk):
     )))
 
 
+def kept_chain_untiled(A, sd, rng, rows, chunk):
+    """Reference: y[i] = A[i] y[i-1] + sd[i] g from one (rows, m) draw and
+    one `linear_recurrence` per chunk, as the thin path drew its kept chain
+    before it took the one tiled stream."""
+    y = np.zeros((rows, 1))
+    for j0, m in kernels._chunks(A.size, chunk):
+        g = rng.standard_normal((rows, m))
+        g *= sd[j0 : j0 + m]
+        y = linear_recurrence(A[None, j0 : j0 + m], g, y[:, -1:].copy())
+        yield y
+
+
 class TestKeptChain:
     # one kept value per chunk, chunk edges inside every set of 3, and the
     # streams' chunk, which splits only the adjacent set
@@ -730,24 +772,14 @@ class TestKeptChain:
         assert np.abs(R.T @ R - U).max() <= 1e-14 * np.abs(U).max()
 
     @pytest.mark.parametrize("family", KEPT_CHAIN_FAMILIES)
-    def test_thin_path_keeps_the_tiled_draws(self, family):
-        # more rows than one tile and 8 kept columns in chunks of 3; the
-        # reference is the tiled stream over the same kept chain
+    def test_thin_path_keeps_the_untiled_draws(self, family):
+        # more rows than two tiles and 8 kept columns in chunks of 3; the
+        # reference draws each chunk whole
         spec, cols = STREAMED[family], np.array(KEPT_CHAIN_COLUMNS["adjacent"])
         rows, chunk = 2 * kernels.ROW_TILE + 3, 3
-        A, sd = spec._kept_chain(cols)
-        tiled = kernels._stream_recurrence(
-            A[None], sd, np.zeros((rows, 1)), CallerThreadRng(5), rows, cols.size, chunk
-        )
-        ref = [next(tiled)]
-        assert len(filter_threads()) == 1
-        ref += list(tiled)
-        thin = mcsim._path_stream(spec, STREAM_N, CallerThreadRng(5), rows, chunk, cols,
-                                  thin=True)
-        got = []
-        for block in thin:
-            assert filter_threads() == []
-            got.append(block)
+        ref = list(kept_chain_untiled(*spec._kept_chain(cols), CallerThreadRng(5), rows, chunk))
+        got = list(mcsim._path_stream(spec, STREAM_N, CallerThreadRng(5), rows, chunk, cols,
+                                      thin=True))
         assert len(got) == len(ref) == 3
         assert all(same_bits(g, r) for g, r in zip(got, ref))
 

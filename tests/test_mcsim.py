@@ -632,6 +632,21 @@ class TestTrialHandout:
                         got = run_trials(config, trials)
                         assert np.array_equal(got, ref[:trials]), (chunk, cpus, trials)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_constant_ar1_holds_no_coefficient_row(self, cpus, monkeypatch):
+        # at N = 10^6 a per-index coefficient row is 8 MB for each trial in flight
+        usable_cpus(monkeypatch, cpus)
+        n = 10**6
+        config = ExperimentConfig(spec=AR1(x=np.full(n, 0.5)), alpha=0.5,
+                                  checkpoints=(1000, n), trials=2, seed=4)
+        tracemalloc.start()
+        try:
+            limsup_experiment(config, UnitPrediction)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
     def test_f_moves_the_maxima(self):
         # so the cases with f run the branch that adds sqrt(f) xi
         base = TRIAL_CONFIGS["exp-even-alpha1.5-no-f"]
